@@ -362,29 +362,11 @@ def specialize_fock(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     The implicit lowest-weight factor ``y`` goes to 1 and ``x_j`` goes to
     ``B_j * x``; input monomials may only involve the ``x_j`` family.
     """
-    _require_delta(b)
-    out: dict = {}
-    for (ys, xs, px, pw), c in p.terms.items():
-        if ys or px or pw:
-            raise UnsupportedVariable(
-                "Fock projection expects monomials in the x_j family only"
-            )
-        mult = c
-        degree = 0
-        for j, e in xs:
-            if j > b.order:
-                raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
-            mult *= b.egf(j) ** e
-            degree += e
-        if not mult:
-            continue
-        key = ((), (), degree, 0)
-        s = out.get(key, _ZERO) + mult
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(out)
+    if any(ys or px or pw for ys, xs, px, pw in p.terms):
+        raise UnsupportedVariable(
+            "Fock projection expects monomials in the x_j family only"
+        )
+    return specialize_x(p, b)
 
 
 def generic_composite_series(order: int) -> GenSeries:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import UnknownIdentityTag
+from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
 from .polyring import (
     MultiPoly,
@@ -255,6 +255,8 @@ def _check_bell(order: int, seed: int) -> CheckResult:
 
 
 def _check_bstar(order: int, seed: int) -> CheckResult:
+    if order < 1:
+        raise OrderTooSmall(f"BSTAR needs order >= 1, got {order}")
     rng = rng_for(seed, "BSTAR")
     trials = 10
     one = TruncatedSeries.one(order - 1)

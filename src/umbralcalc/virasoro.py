@@ -13,10 +13,20 @@ with ``[h(m), h(n)] = m delta_(m+n,0)``, and the quadratic sums
     L(m) = (1/2) sum_k h(m-k) h(k)                (m != 0)
     L(0) = (1/2) sum_k h(-|k|) h(|k|)             (normal ordered)
 
-realize the Virasoro relations at central charge 1.  For a fixed monomial
-only finitely many k contribute: annihilation indices must match a variable
-that is present, and double-creation pairs require ``m <= k <= 0``; the sum
-below enumerates exactly that index set.
+realize the Virasoro relations at central charge 1 (the oscillator
+construction of Kac and Raina, *Bombay Lectures on Highest Weight
+Representations*, Lecture 2).  For ``m != 0`` the two modes of each product
+commute; pairing ``k`` with ``m - k`` and splitting off ``k = 0, m`` gives
+the normal-ordered form that :func:`virasoro` applies monomial by monomial:
+
+    L(m) = h(m) + sum_(k > max(0, m)) h(m-k) h(k)
+                + (1/2) sum_(0 < k < m) h(m-k) h(k)
+                + (1/2) sum_(m < k < 0) h(m-k) h(k)      (m != 0)
+    L(0) = 1/2 + sum_(k > 0) k x_k d/dx_k
+
+The first sum moves one quantum from ``x_k`` to ``x_(k-m)``, the second
+removes two and the third adds two; on a monomial only the ``k`` whose
+annihilated variable is present contribute.
 """
 
 from __future__ import annotations
@@ -84,31 +94,58 @@ def heisenberg(n: int, p: FockPoly) -> FockPoly:
     return MultiPoly(out)
 
 
-def _virasoro_monomial(m: int, key, coeff: Fraction) -> FockPoly:
-    mono = MultiPoly({key: coeff})
-    indices = {j for j, _ in key[1]}
+@lru_cache(maxsize=None)
+def _virasoro_unit(m: int, xs: tuple) -> tuple:
+    """``L(m)`` of the unit monomial with exponent tuple ``xs``, as
+    ``((key, coeff), ...)`` pairs with distinct keys; every coefficient of the
+    normal-ordered form is positive, so none cancels."""
     if m == 0:
-        total = mono * _HALF
-        for k in indices:
-            total = total + heisenberg(-k, heisenberg(k, mono))
-        return total
-    candidates = set(indices)
-    candidates.update(m - j for j in indices)
-    if m < 0:
-        candidates.update(range(m, 1))
-    total = MultiPoly.zero()
-    for k in sorted(candidates):
-        total = total + heisenberg(m - k, heisenberg(k, mono))
-    return total * _HALF
+        return ((((), xs, 0, 0), _HALF + sum(j * e for j, e in xs)),)
+    exps = dict(xs)
+    acc: dict = {}
+
+    def bump(coeff: Fraction, *delta: tuple) -> None:
+        new = dict(exps)
+        for j, d in delta:
+            new[j] = new.get(j, 0) + d
+        key = ((), tuple(sorted((j, e) for j, e in new.items() if e)), 0, 0)
+        acc[key] = acc.get(key, _ZERO) + coeff
+
+    fact = math.factorial
+    if m > 0:  # h(m)
+        if exps.get(m):
+            bump(Fraction(fact(m) * exps[m]), (m, -1))
+    else:
+        bump(Fraction(1, fact(-m - 1)), (-m, 1))
+    for k, e in xs:  # h(m-k) h(k) with k > max(0, m): x_k -> x_(k-m)
+        if k > m:
+            bump(Fraction(fact(k) * e, fact(k - m - 1)), (k, -1), (k - m, 1))
+    for k, e in xs:  # (1/2) h(m-k) h(k) with 0 < k < m: remove x_k, x_(m-k)
+        j = m - k
+        if 0 < j:
+            rest = e - 1 if j == k else exps.get(j, 0)
+            if rest:
+                bump(Fraction(fact(k) * e * fact(j) * rest, 2), (k, -1), (j, -1))
+    for a in range(1, -m):  # (1/2) h(m-k) h(k) with m < k < 0: add x_a, x_(-m-a)
+        b = -m - a
+        bump(Fraction(1, 2 * fact(a - 1) * fact(b - 1)), (a, 1), (b, 1))
+    return tuple(acc.items())
 
 
 def virasoro(m: int, p: FockPoly) -> FockPoly:
     """Apply the quadratic mode ``L(m)``; lowers weight by ``m``."""
     _check_fock(p)
-    out = MultiPoly.zero()
+    out: dict = {}
     for key, c in p.terms.items():
-        out = out + _virasoro_monomial(m, key, c)
-    return out
+        for image, v in _virasoro_unit(m, key[1]):
+            prev = out.get(image)
+            if prev is None:
+                out[image] = c * v
+            elif s := prev + c * v:
+                out[image] = s
+            else:
+                del out[image]
+    return MultiPoly(out)
 
 
 def weight(p: FockPoly) -> Fraction:
@@ -176,19 +213,31 @@ def basis_monomials(max_degree: int) -> list[FockPoly]:
 # -- ladder coefficients -----------------------------------------------------
 
 
+# Rows m >= 0 of the ladder table, each filled left to right as far as asked.
+_LADDER_ROWS: dict[int, list[Fraction]] = {}
+
+
 @lru_cache(maxsize=None)
 def ladder_value(m: int, n: int) -> Fraction:
     """``f_m(n)`` from the recurrence ``f_m(n) = f_m(n-1) + (m+1) f_(m-1)(n-1)``
-    with boundary ``f_(-1)(n) = 1``, ``f_0(0) = 1/2``, ``f_m(0) = 0`` for m >= 1."""
+    with boundary ``f_(-1)(n) = 1``, ``f_0(0) = 1/2``, ``f_m(0) = 0`` for m >= 1.
+
+    Row ``r`` is needed through column ``n - (m - r)``; the rows are extended
+    in increasing ``r``, so every entry is computed once and nothing recurses.
+    """
     if m < -1:
         raise IndexOutOfRange(f"ladder row index must be >= -1, got {m}")
     if n < 0:
         raise IndexOutOfRange(f"ladder column index must be >= 0, got {n}")
     if m == -1:
         return Fraction(1)
-    if n == 0:
-        return _HALF if m == 0 else _ZERO
-    return ladder_value(m, n - 1) + (m + 1) * ladder_value(m - 1, n - 1)
+    below = None
+    for r in range(m + 1):
+        row = _LADDER_ROWS.setdefault(r, [_HALF if r == 0 else _ZERO])
+        for k in range(len(row), n - (m - r) + 1):
+            row.append(row[k - 1] + (r + 1) * (below[k - 1] if r else 1))
+        below = row
+    return below[n]
 
 
 def ladder_closed(m: int, n: Scalar) -> Fraction:

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism, file output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,26 @@ def test_verify_json_shape(capsys):
     assert payload["passed"] is True
     assert payload["seed"] == 3
     assert payload["results"][0]["tag"] == "LADDER"
+
+
+def test_verify_below_minimum_order_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--id", "BSTAR", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: BSTAR needs order >= 1, got 0\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("order, seed", [(6, 0), (10, 0), (14, 0), (10, 7)])
+def test_verify_report_matches_golden(capsys, order, seed):
+    code, out, _ = run(
+        capsys, "verify", "--id", "ALL", "--order", str(order), "--seed", str(seed)
+    )
+    assert code == 0
+    golden = GOLDEN / f"verify_o{order}_s{seed}.txt"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_verify_deterministic_per_tag(capsys):

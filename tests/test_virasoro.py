@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralcalc.errors import (
     IndexOutOfRange,
@@ -72,6 +74,50 @@ def test_heisenberg_rejects_foreign_variables():
 
 
 # -- Virasoro modes ---------------------------------------------------------------
+
+
+def _virasoro_oracle(m, p):
+    """``L(m)`` rebuilt from Heisenberg compositions, one monomial at a time:
+    ``(1/2) sum_k h(m-k) h(k)``, over the ``k`` that can act on the monomial."""
+    out = MultiPoly.zero()
+    for key, coeff in p.terms.items():
+        mono = MultiPoly({key: coeff})
+        indices = {j for j, _ in key[1]}
+        if m == 0:
+            total = mono * F(1, 2)
+            for k in indices:
+                total = total + heisenberg(-k, heisenberg(k, mono))
+        else:
+            candidates = indices | {m - j for j in indices}
+            if m < 0:
+                candidates.update(range(m, 1))
+            total = MultiPoly.zero()
+            for k in sorted(candidates):
+                total = total + heisenberg(m - k, heisenberg(k, mono))
+            total = total * F(1, 2)
+        out = out + total
+    return out
+
+
+def test_virasoro_matches_heisenberg_oracle_on_monomials():
+    for p in basis_monomials(10):
+        for m in range(-6, 7):
+            assert virasoro(m, p) == _virasoro_oracle(m, p), (m, p)
+
+
+_MONOMIALS = [next(iter(p.terms)) for p in basis_monomials(8)]
+_fock_vectors = st.dictionaries(
+    st.sampled_from(_MONOMIALS),
+    st.fractions(max_denominator=12).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(MultiPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(-6, 6), p=_fock_vectors)
+def test_virasoro_matches_heisenberg_oracle_on_mixed_vectors(m, p):
+    assert virasoro(m, p) == _virasoro_oracle(m, p)
 
 
 def test_lowest_weight_half():
@@ -193,6 +239,10 @@ def test_ladder_summation_identity():
                 ladder_value(m - 1, i) for i in range(n)
             )
             assert ladder_value(m, n) == rhs
+
+
+def test_ladder_value_deep_column():
+    assert ladder_value(3, 5000) == ladder_closed(3, 5000)
 
 
 def test_ladder_index_guards():
