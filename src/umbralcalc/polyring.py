@@ -1,8 +1,9 @@
 """The sparse ring ``C[..., y_-1, y_0, y_1, ..., x_1, x_2, ...]``.
 
-Monomials may additionally carry the plain variables ``x`` and ``w``,
-which only appear as images of the substitution maps.  The ring exists to
-host the derivation ``D`` with
+Monomials may additionally carry the plain variable ``x``, which only
+appears as the image of the substitution maps; ``w`` lives in
+:class:`GenSeries`, never in a monomial.  The ring exists to host the
+derivation ``D`` with
 
     D y_i = y_(i+1) x_1        (i in Z)
     D x_j = x_(j+1)            (j >= 1)
@@ -10,6 +11,11 @@ host the derivation ``D`` with
 whose exponential ``e^(wD)`` produces the higher-derivative expansion of a
 generic composite, together with the substitution homomorphisms that
 specialize the generic symbols to the coefficients of concrete series.
+It also hosts the Fock space ``y*C[x_1, x_2, ...]`` of :mod:`virasoro`.
+
+This is the only module that knows the monomial-key layout; other modules
+go through :func:`shift_exps`, :func:`accumulate`, :func:`fock_key` and
+:func:`fock_terms`.
 """
 
 from __future__ import annotations
@@ -31,34 +37,63 @@ Y_INDEX_FLOOR = -4
 
 _ZERO = Fraction(0)
 
-# A monomial key is (ys, xs, px, pw): sorted ((index, exp), ...) tuples for
-# the y- and x-families plus plain-variable exponents.
-_EMPTY_KEY = ((), (), 0, 0)
+# A monomial key is (ys, xs, px): sorted ((index, exp), ...) tuples for the
+# y- and x-families plus the exponent of the plain x.
+_EMPTY_KEY = ((), (), 0)
 
 
-def _merge(exps: tuple, index: int, delta: int) -> tuple:
-    """Add ``delta`` to the exponent of ``index`` in a sorted exponent tuple."""
+def shift_exps(exps: tuple, *deltas: tuple) -> tuple:
+    """Add each ``(index, delta)`` in turn to a sorted exponent tuple."""
+    if not deltas:
+        return exps
     out = dict(exps)
-    e = out.get(index, 0) + delta
-    if e < 0:
-        raise ValueError("negative exponent")
-    if e:
-        out[index] = e
-    else:
-        out.pop(index, None)
+    for index, delta in deltas:
+        e = out.get(index, 0) + delta
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e:
+            out[index] = e
+        else:
+            out.pop(index, None)
     return tuple(sorted(out.items()))
 
 
+def accumulate(acc: dict, pairs) -> dict:
+    """Add each ``(key, value)`` into ``acc``, deleting keys whose sum is zero."""
+    for k, v in pairs:
+        prev = acc.get(k)
+        if prev is None:
+            acc[k] = v
+        elif s := prev + v:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
+
+
 def _key_mul(k1, k2):
-    ys1, xs1, px1, pw1 = k1
-    ys2, xs2, px2, pw2 = k2
-    ys = ys1
-    for i, e in ys2:
-        ys = _merge(ys, i, e)
-    xs = xs1
-    for j, e in xs2:
-        xs = _merge(xs, j, e)
-    return (ys, xs, px1 + px2, pw1 + pw2)
+    return (shift_exps(k1[0], *k2[0]), shift_exps(k1[1], *k2[1]), k1[2] + k2[2])
+
+
+def fock_key(xs: tuple) -> tuple:
+    """The key of the Fock monomial with ``x_j`` exponent tuple ``xs``."""
+    return ((), xs, 0)
+
+
+def fock_terms(p: "MultiPoly") -> list:
+    """The ``(xs, coeff)`` pairs of a vector of ``y*C[x_1, x_2, ...]``.
+
+    Raises :class:`UnsupportedVariable` unless every monomial lies in the
+    ``x_j`` family alone.
+    """
+    out = []
+    for (ys, xs, px), c in p.terms.items():
+        if ys or px:
+            raise UnsupportedVariable(
+                "Fock vectors are polynomials in the x_j family only"
+            )
+        out.append((xs, c))
+    return out
 
 
 class MultiPoly:
@@ -88,21 +123,17 @@ class MultiPoly:
         limit = Y_INDEX_FLOOR if floor is None else floor
         if i < limit:
             raise IndexOutOfRange(f"y-index {i} below floor {limit}")
-        return cls({(((i, 1),), (), 0, 0): Fraction(1)})
+        return cls({(((i, 1),), (), 0): Fraction(1)})
 
     @classmethod
     def x(cls, j: int) -> "MultiPoly":
         if j < 1:
             raise IndexOutOfRange(f"x-index must be >= 1, got {j}")
-        return cls({((), ((j, 1),), 0, 0): Fraction(1)})
+        return cls({fock_key(((j, 1),)): Fraction(1)})
 
     @classmethod
     def plain_x(cls) -> "MultiPoly":
-        return cls({((), (), 1, 0): Fraction(1)})
-
-    @classmethod
-    def plain_w(cls) -> "MultiPoly":
-        return cls({((), (), 0, 1): Fraction(1)})
+        return cls({((), (), 1): Fraction(1)})
 
     # -- structure queries -------------------------------------------------
 
@@ -125,10 +156,6 @@ class MultiPoly:
     def uses_plain_x(self) -> bool:
         return any(k[2] for k in self.terms)
 
-    @property
-    def uses_plain_w(self) -> bool:
-        return any(k[3] for k in self.terms)
-
     def coefficient(self, key) -> Fraction:
         return self.terms.get(key, _ZERO)
 
@@ -148,14 +175,7 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in rhs.terms.items():
-            s = out.get(k, _ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return MultiPoly(out)
+        return MultiPoly(accumulate(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
@@ -179,16 +199,12 @@ class MultiPoly:
             return MultiPoly({k: v * q for k, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = _key_mul(k1, k2)
-                s = out.get(k, _ZERO) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return MultiPoly(out)
+        products = (
+            (_key_mul(k1, k2), v1 * v2)
+            for k1, v1 in self.terms.items()
+            for k2, v2 in other.terms.items()
+        )
+        return MultiPoly(accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -207,7 +223,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for (ys, xs, px, pw), c in self.sorted_terms():
+        for (ys, xs, px), c in self.sorted_terms():
             factors = []
             for i, e in ys:
                 name = f"y{i}" if i >= 0 else f"y({i})"
@@ -216,8 +232,6 @@ class MultiPoly:
                 factors.append(f"x{j}" if e == 1 else f"x{j}^{e}")
             if px:
                 factors.append("x" if px == 1 else f"x^{px}")
-            if pw:
-                factors.append("w" if pw == 1 else f"w^{pw}")
             body = "*".join(factors)
             if not body:
                 parts.append(str(c))
@@ -231,8 +245,8 @@ class MultiPoly:
 def to_univar(p: MultiPoly) -> UnivarPoly:
     """Read a polynomial in the plain variable ``x`` off a MultiPoly."""
     coeffs: dict = {}
-    for (ys, xs, px, pw), c in p.terms.items():
-        if ys or xs or pw:
+    for (ys, xs, px), c in p.terms.items():
+        if ys or xs:
             raise UnsupportedVariable("not a polynomial in plain x alone")
         coeffs[px] = coeffs.get(px, _ZERO) + c
     if not coeffs:
@@ -246,26 +260,16 @@ def to_univar(p: MultiPoly) -> UnivarPoly:
 
 def derivation(p: MultiPoly) -> MultiPoly:
     """Apply ``D`` (``D y_i = y_(i+1) x_1``, ``D x_j = x_(j+1)``) once."""
-    acc: dict = {}
-
-    def _bump(key, value):
-        s = acc.get(key, _ZERO) + value
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
-    for (ys, xs, px, pw), c in p.terms.items():
-        if px or pw:
-            raise UnsupportedVariable("derivation domain has no plain x or w")
+    pairs = []
+    for (ys, xs, px), c in p.terms.items():
+        if px:
+            raise UnsupportedVariable("derivation domain has no plain x")
         for i, e in ys:
-            ys2 = _merge(_merge(ys, i, -1), i + 1, 1)
-            xs2 = _merge(xs, 1, 1)
-            _bump((ys2, xs2, 0, 0), c * e)
+            key = (shift_exps(ys, (i, -1), (i + 1, 1)), shift_exps(xs, (1, 1)), 0)
+            pairs.append((key, c * e))
         for j, e in xs:
-            xs2 = _merge(_merge(xs, j, -1), j + 1, 1)
-            _bump((ys, xs2, 0, 0), c * e)
-    return MultiPoly(acc)
+            pairs.append(((ys, shift_exps(xs, (j, -1), (j + 1, 1)), 0), c * e))
+    return MultiPoly(accumulate({}, pairs))
 
 
 def derivation_powers(p: MultiPoly, count: int) -> list[MultiPoly]:
@@ -298,10 +302,10 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     Fixes every ``y_i``; the image lives in ``C[..., y_i, ..., x]``.
     """
     _require_delta(b)
-    if p.uses_plain_x or p.uses_plain_w:
-        raise UnsupportedVariable("domain of the x-substitution has no plain x or w")
-    out: dict = {}
-    for (ys, xs, px, pw), c in p.terms.items():
+    if p.uses_plain_x:
+        raise UnsupportedVariable("domain of the x-substitution has no plain x")
+    pairs = []
+    for (ys, xs, px), c in p.terms.items():
         mult = c
         degree = 0
         for j, e in xs:
@@ -311,15 +315,8 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
                 )
             mult *= b.egf(j) ** e
             degree += e
-        if not mult:
-            continue
-        key = (ys, (), degree, 0)
-        s = out.get(key, _ZERO) + mult
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(out)
+        pairs.append(((ys, (), degree), mult))
+    return MultiPoly(accumulate({}, pairs))
 
 
 def specialize_y(
@@ -332,10 +329,10 @@ def specialize_y(
     Negative indices draw on the extended sequence (default all zero).
     """
     ext = extension or {}
-    out: dict = {}
-    for (ys, xs, px, pw), c in p.terms.items():
-        if xs or pw:
-            raise UnsupportedVariable("domain of the y-substitution has no x_j or w")
+    pairs = []
+    for (ys, xs, px), c in p.terms.items():
+        if xs:
+            raise UnsupportedVariable("domain of the y-substitution has no x_j")
         mult = c
         for i, e in ys:
             if i < 0:
@@ -345,15 +342,8 @@ def specialize_y(
             else:
                 value = a.egf(i)
             mult *= value ** e
-        if not mult:
-            continue
-        key = ((), (), px, 0)
-        s = out.get(key, _ZERO) + mult
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(out)
+        pairs.append((((), (), px), mult))
+    return MultiPoly(accumulate({}, pairs))
 
 
 def specialize_fock(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
@@ -362,10 +352,7 @@ def specialize_fock(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     The implicit lowest-weight factor ``y`` goes to 1 and ``x_j`` goes to
     ``B_j * x``; input monomials may only involve the ``x_j`` family.
     """
-    if any(ys or px or pw for ys, xs, px, pw in p.terms):
-        raise UnsupportedVariable(
-            "Fock projection expects monomials in the x_j family only"
-        )
+    fock_terms(p)
     return specialize_x(p, b)
 
 

@@ -72,44 +72,32 @@ class CheckResult:
 # -- mismatch reporting helpers ----------------------------------------------
 
 
-def _series_diff(a: TruncatedSeries, b: TruncatedSeries) -> Optional[str]:
-    n = min(a.order, b.order)
-    for k in range(n + 1):
-        if a.coeffs[k] != b.coeffs[k]:
-            return f"t^{k}: {a.coeffs[k]} != {b.coeffs[k]}"
-    return None
+def _mismatch(a, b) -> Optional[str]:
+    """The first difference between two operands of the same type, or None.
 
-
-def _poly_diff(a: UnivarPoly, b: UnivarPoly) -> Optional[str]:
-    for k in range(max(a.degree, b.degree) + 1):
-        if a.coeff(k) != b.coeff(k):
-            return f"x^{k}: {a.coeff(k)} != {b.coeff(k)}"
-    return None
-
-
-def _multipoly_diff(a: MultiPoly, b: MultiPoly) -> Optional[str]:
-    d = a - b
-    if not d:
+    Series compare up to the shorter order, polynomials over both degrees;
+    a :class:`GenSeries` names the power of ``w`` and then the mismatch of
+    its coefficients, and a :class:`MultiPoly` the lowest differing monomial.
+    """
+    if isinstance(a, MultiPoly):
+        d = a - b
+        if not d:
+            return None
+        key, value = d.sorted_terms()[0]
+        return f"monomial {MultiPoly({key: Fraction(1)})}: difference {value}"
+    if isinstance(a, GenSeries):
+        for k in range(min(a.order, b.order) + 1):
+            msg = _mismatch(a.coeff(k), b.coeff(k))
+            if msg:
+                return f"w^{k}, {msg}"
         return None
-    key, value = d.sorted_terms()[0]
-    return f"monomial {MultiPoly({key: Fraction(1)})}: difference {value}"
-
-
-def _gen_poly_diff(a: GenSeries, b: GenSeries) -> Optional[str]:
-    n = min(a.order, b.order)
-    for k in range(n + 1):
-        msg = _poly_diff(a.coeff(k), b.coeff(k))
-        if msg:
-            return f"w^{k}, {msg}"
-    return None
-
-
-def _gen_multipoly_diff(a: GenSeries, b: GenSeries) -> Optional[str]:
-    n = min(a.order, b.order)
-    for k in range(n + 1):
-        msg = _multipoly_diff(a.coeff(k), b.coeff(k))
-        if msg:
-            return f"w^{k}, {msg}"
+    if isinstance(a, UnivarPoly):
+        var, top = "x", max(a.degree, b.degree)
+    else:
+        var, top = "t", min(a.order, b.order)
+    for k in range(top + 1):
+        if a.coeff(k) != b.coeff(k):
+            return f"{var}^{k}: {a.coeff(k)} != {b.coeff(k)}"
     return None
 
 
@@ -133,7 +121,7 @@ def _check_automorphism(order: int, seed: int) -> CheckResult:
         q = random_multipoly(rng)
         lhs = exp_derivation(p * q, n)
         rhs = exp_derivation(p, n) * exp_derivation(q, n)
-        msg = _gen_multipoly_diff(lhs, rhs)
+        msg = _mismatch(lhs, rhs)
         if msg:
             return _fail("AUTOMORPHISM", f"trial {trial}: {msg}")
     return _ok("AUTOMORPHISM", f"{trials} random products expanded to order {n}")
@@ -157,7 +145,7 @@ def _check_taylor(order: int, seed: int) -> CheckResult:
                 for k in range(n + 1)
             ]
         )
-        msg = _gen_poly_diff(lhs, rhs)
+        msg = _mismatch(lhs, rhs)
         if msg:
             return _fail("TAYLOR", f"trial {trial}: {msg}")
     return _ok("TAYLOR", f"{trials} random polynomials, both expansion routes")
@@ -202,7 +190,7 @@ def _check_faa(order: int, seed: int) -> CheckResult:
                 if lhs[k]:
                     return _fail("FAA", f"trial {trial}: w^{k} missing on rhs")
                 continue
-            msg = _series_diff(lhs[k], r)
+            msg = _mismatch(lhs[k], r)
             if msg:
                 return _fail("FAA", f"trial {trial}: w^{k}, {msg}")
     return _ok("FAA", f"{trials} random (f, g) pairs at order {order}")
@@ -211,7 +199,7 @@ def _check_faa(order: int, seed: int) -> CheckResult:
 def _check_fdbu(order: int, seed: int) -> CheckResult:
     lhs = exp_derivation(MultiPoly.y(0), order)
     rhs = generic_composite_series(order)
-    msg = _gen_multipoly_diff(lhs, rhs)
+    msg = _mismatch(lhs, rhs)
     if msg:
         return _fail("FDBU", msg)
     rng = rng_for(seed, "FDBU")
@@ -221,7 +209,7 @@ def _check_fdbu(order: int, seed: int) -> CheckResult:
         b = random_delta(rng, order)
         img = lhs.map(lambda q: to_univar(specialize_y(specialize_x(q, b), a)))
         expect = composed_expansion(a, b, order)
-        pmsg = _gen_poly_diff(img, expect)
+        pmsg = _mismatch(img, expect)
         if pmsg:
             return _fail("FDBU", f"trial {trial}: {pmsg}")
     return _ok(
@@ -266,11 +254,11 @@ def _check_bstar(order: int, seed: int) -> CheckResult:
         rev_deriv = b.reversion().derivative()
         product = direct * rev_deriv
         if product != one:
-            msg = _series_diff(product, one)
+            msg = _mismatch(product, one)
             return _fail("BSTAR", f"trial {trial}: product with reversion', {msg}")
         via_reciprocal = rev_deriv.reciprocal()
         if direct != via_reciprocal:
-            msg = _series_diff(direct, via_reciprocal)
+            msg = _mismatch(direct, via_reciprocal)
             return _fail("BSTAR", f"trial {trial}: {msg}")
     return _ok("BSTAR", f"{trials} random delta series at order {order}")
 
@@ -322,7 +310,7 @@ def _check_adjnew(order: int, seed: int) -> CheckResult:
             ),
         ]
         for name, lhs, rhs in pairs:
-            msg = _series_diff(lhs, rhs)
+            msg = _mismatch(lhs, rhs)
             if msg:
                 return _fail("ADJNEW", f"trial {trial}: {name}, w{msg.removeprefix('t')}")
     return _ok("ADJNEW", f"{trials} random (A, B): all four x=1 identities")
@@ -383,7 +371,7 @@ def _check_umbral_basis(order: int, seed: int) -> CheckResult:
                     f"trial {trial}: B_{n}({c}) = {bn.evaluate(c)} != {via_series}",
                 )
             if umbral_shift(b, bn) != polys[n + 1]:
-                msg = _poly_diff(umbral_shift(b, bn), polys[n + 1])
+                msg = _mismatch(umbral_shift(b, bn), polys[n + 1])
                 return _fail("UMBRAL-BASIS", f"trial {trial}: shift B_{n}, {msg}")
     return _ok("UMBRAL-BASIS", f"5 random delta series, indices n <= {top}")
 
@@ -402,7 +390,7 @@ def _check_vir_bracket(order: int, seed: int) -> CheckResult:
                 if central:
                     rhs = rhs + central * p
                 if lhs != rhs:
-                    msg = _multipoly_diff(lhs, rhs)
+                    msg = _mismatch(lhs, rhs)
                     return _fail(
                         "VIR-BRACKET", f"[L({m}), L({n})] on {p}: {msg}"
                     )
@@ -421,7 +409,7 @@ def _check_heis(order: int, seed: int) -> CheckResult:
                 lhs = heisenberg(m, heisenberg(n, p)) - heisenberg(n, heisenberg(m, p))
                 rhs = scalar * p
                 if lhs != rhs:
-                    msg = _multipoly_diff(lhs, rhs)
+                    msg = _mismatch(lhs, rhs)
                     return _fail("HEIS", f"[h({m}), h({n})] on {p}: {msg}")
     return _ok("HEIS", "|m|, |n| <= 4 on all monomials of weight <= 8 + 1/2")
 
@@ -441,7 +429,7 @@ def _check_lm1_eq_d(order: int, seed: int) -> CheckResult:
         lhs = virasoro(-1, p)
         rhs = fock_derivation(p)
         if lhs != rhs:
-            msg = _multipoly_diff(lhs, rhs)
+            msg = _mismatch(lhs, rhs)
             return _fail("LM1-EQ-D", f"on {p}: {msg}")
     return _ok("LM1-EQ-D", "L(-1) equals the derivation on weight <= 8 + 1/2")
 
@@ -458,7 +446,7 @@ def _check_ladder(order: int, seed: int) -> CheckResult:
                 continue
             expect = ladder_value(m, n) * powers[n - m]
             if image != expect:
-                msg = _multipoly_diff(image, expect)
+                msg = _mismatch(image, expect)
                 return _fail("LADDER", f"m={m}, n={n}: {msg}")
     for n in range(1, top + 1):
         if ladder_value(n, n) != (n + 1) * ladder_value(n - 1, n - 1):
@@ -516,7 +504,7 @@ def _check_genshift_gf(order: int, seed: int) -> CheckResult:
             rhs = expansion.differentiate().times_w(m + 1)
             if m >= 0:
                 rhs = rhs + expansion.times_w(m) * Fraction(m + 1, 2)
-            msg = _gen_poly_diff(lhs, rhs.truncate(n))
+            msg = _mismatch(lhs, rhs.truncate(n))
             if msg:
                 return _fail("GENSHIFT-GF", f"trial {trial}, m={m}: {msg}")
         p = random_poly(rng, 6)
@@ -538,7 +526,7 @@ def _check_umbvir(order: int, seed: int) -> CheckResult:
                     "UMBVIR", f"trial {trial}: projection of L(-1)^{n} y != B_{n}"
                 )
             if umbral_shift(b, images[n]) != images[n + 1]:
-                msg = _poly_diff(umbral_shift(b, images[n]), images[n + 1])
+                msg = _mismatch(umbral_shift(b, images[n]), images[n + 1])
                 return _fail("UMBVIR", f"trial {trial}, n={n}: {msg}")
     return _ok("UMBVIR", f"3 random delta series, ladder up to n = {top}")
 

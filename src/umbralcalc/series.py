@@ -175,10 +175,20 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        out = TruncatedSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return TruncatedSeries.one(self.order)
+        low = next((k for k, c in enumerate(self.coeffs) if c), self.order + 1)
+        if low * n > self.order:  # t^low to the n-th is past the order
+            return TruncatedSeries.zero(self.order)
+        # binary powering: square the base once per bit of n
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

@@ -220,36 +220,21 @@ def check_adjoint(
 
     Both sides of each identity are computed along independent routes.
     """
-    if kind == "mul":
-        da = a.derivative()
-        for k in range(degree + 1):
-            lhs = pairing(da, UnivarPoly.monomial(k))
-            rhs = pairing(a, UnivarPoly.monomial(k + 1))
-            if lhs != rhs:
-                return False
-        return True
-    if kind == "diff":
-        prod = b * a
-        for k in range(degree + 1):
-            lhs = pairing(prod, UnivarPoly.monomial(k))
-            rhs = pairing(a, apply_series_in_ddx(b, UnivarPoly.monomial(k)))
-            if lhs != rhs:
-                return False
-        return True
-    if kind == "subst":
-        sub = a.compose(b)
-        for k in range(degree + 1):
-            lhs = pairing(sub, UnivarPoly.monomial(k))
-            rhs = pairing(a, umbral_operator(b, UnivarPoly.monomial(k)))
-            if lhs != rhs:
-                return False
-        return True
-    if kind == "shift":
-        mult = shift_multiplier(b) * a.derivative()
-        for k in range(degree + 1):
-            lhs = pairing(mult, UnivarPoly.monomial(k))
-            rhs = pairing(a, umbral_shift(b, UnivarPoly.monomial(k)))
-            if lhs != rhs:
-                return False
-        return True
-    raise UnknownIdentityTag(f"unknown adjoint kind {kind!r}")
+    table = {
+        "mul": (a.derivative, lambda p: UnivarPoly.x() * p),
+        "diff": (lambda: b * a, lambda p: apply_series_in_ddx(b, p)),
+        "subst": (lambda: a.compose(b), lambda p: umbral_operator(b, p)),
+        "shift": (
+            lambda: shift_multiplier(b) * a.derivative(),
+            lambda p: umbral_shift(b, p),
+        ),
+    }
+    if kind not in table:
+        raise UnknownIdentityTag(f"unknown adjoint kind {kind!r}")
+    left, right = table[kind]
+    series = left()
+    return all(
+        pairing(series, UnivarPoly.monomial(k))
+        == pairing(a, right(UnivarPoly.monomial(k)))
+        for k in range(degree + 1)
+    )

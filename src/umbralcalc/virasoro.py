@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import IndexOutOfRange, NotHomogeneous, OrderTooSmall, UnsupportedVariable
-from .polyring import MultiPoly
+from .errors import IndexOutOfRange, NotHomogeneous, OrderTooSmall
+from .polyring import MultiPoly, accumulate, fock_key, fock_terms, shift_exps
 from .series import TruncatedSeries
 from .umbral import attached_basis_expansion, attached_generating_series
 from .univar import UnivarPoly
@@ -53,14 +53,6 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-def _check_fock(p: MultiPoly) -> None:
-    for ys, xs, px, pw in p.terms:
-        if ys or px or pw:
-            raise UnsupportedVariable(
-                "Fock vectors are polynomials in the x_j family only"
-            )
-
-
 def lowest_weight_vector() -> FockPoly:
     """The vector ``y`` itself (stored as the constant polynomial 1)."""
     return MultiPoly.one()
@@ -68,30 +60,20 @@ def lowest_weight_vector() -> FockPoly:
 
 def heisenberg(n: int, p: FockPoly) -> FockPoly:
     """Apply the mode ``h(n)``."""
-    _check_fock(p)
+    terms = fock_terms(p)
     if n == 0:
         return p
     if n < 0:
         factor = MultiPoly.x(-n) * Fraction(1, math.factorial(-n - 1))
         return p * factor
-    scale = Fraction(math.factorial(n))
-    out: dict = {}
-    for (ys, xs, px, pw), c in p.terms.items():
-        exps = dict(xs)
-        e = exps.get(n, 0)
-        if not e:
-            continue
-        if e == 1:
-            exps.pop(n)
-        else:
-            exps[n] = e - 1
-        key = ((), tuple(sorted(exps.items())), 0, 0)
-        s = out.get(key, _ZERO) + c * e * scale
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly(out)
+    scale = math.factorial(n)
+    pairs = [
+        (fock_key(shift_exps(xs, (n, -1))), c * e * scale)
+        for xs, c in terms
+        for j, e in xs
+        if j == n
+    ]
+    return MultiPoly(accumulate({}, pairs))
 
 
 @lru_cache(maxsize=None)
@@ -100,16 +82,12 @@ def _virasoro_unit(m: int, xs: tuple) -> tuple:
     ``((key, coeff), ...)`` pairs with distinct keys; every coefficient of the
     normal-ordered form is positive, so none cancels."""
     if m == 0:
-        return ((((), xs, 0, 0), _HALF + sum(j * e for j, e in xs)),)
+        return ((fock_key(xs), _HALF + sum(j * e for j, e in xs)),)
     exps = dict(xs)
-    acc: dict = {}
+    pairs = []
 
     def bump(coeff: Fraction, *delta: tuple) -> None:
-        new = dict(exps)
-        for j, d in delta:
-            new[j] = new.get(j, 0) + d
-        key = ((), tuple(sorted((j, e) for j, e in new.items() if e)), 0, 0)
-        acc[key] = acc.get(key, _ZERO) + coeff
+        pairs.append((fock_key(shift_exps(xs, *delta)), coeff))
 
     fact = math.factorial
     if m > 0:  # h(m)
@@ -129,33 +107,23 @@ def _virasoro_unit(m: int, xs: tuple) -> tuple:
     for a in range(1, -m):  # (1/2) h(m-k) h(k) with m < k < 0: add x_a, x_(-m-a)
         b = -m - a
         bump(Fraction(1, 2 * fact(a - 1) * fact(b - 1)), (a, 1), (b, 1))
-    return tuple(acc.items())
+    return tuple(accumulate({}, pairs).items())
 
 
 def virasoro(m: int, p: FockPoly) -> FockPoly:
     """Apply the quadratic mode ``L(m)``; lowers weight by ``m``."""
-    _check_fock(p)
-    out: dict = {}
-    for key, c in p.terms.items():
-        for image, v in _virasoro_unit(m, key[1]):
-            prev = out.get(image)
-            if prev is None:
-                out[image] = c * v
-            elif s := prev + c * v:
-                out[image] = s
-            else:
-                del out[image]
-    return MultiPoly(out)
+    acc: dict = {}
+    for xs, c in fock_terms(p):
+        accumulate(acc, ((image, c * v) for image, v in _virasoro_unit(m, xs)))
+    return MultiPoly(acc)
 
 
 def weight(p: FockPoly) -> Fraction:
     """The ``L(0)`` eigenvalue ``1/2 + sum j * e_j`` of a homogeneous vector."""
-    _check_fock(p)
-    if not p:
+    terms = fock_terms(p)
+    if not terms:
         raise NotHomogeneous("the zero vector has no weight")
-    weights = {
-        _HALF + sum(j * e for j, e in xs) for (ys, xs, px, pw) in p.terms
-    }
+    weights = {_HALF + sum(j * e for j, e in xs) for xs, _ in terms}
     if len(weights) != 1:
         raise NotHomogeneous(f"mixed weights {sorted(weights)}")
     return weights.pop()
@@ -164,19 +132,12 @@ def weight(p: FockPoly) -> Fraction:
 def fock_derivation(p: FockPoly) -> FockPoly:
     """The derivation ``x_1 + sum_k x_(k+1) d/dx_k`` (the image of ``y`` ships
     along implicitly); must coincide with ``L(-1)``."""
-    _check_fock(p)
-    out = p * MultiPoly.x(1)
-    for (ys, xs, px, pw), c in p.terms.items():
+    pairs = []
+    for xs, c in fock_terms(p):
+        pairs.append((fock_key(shift_exps(xs, (1, 1))), c))
         for j, e in xs:
-            exps = dict(xs)
-            if e == 1:
-                exps.pop(j)
-            else:
-                exps[j] = e - 1
-            exps[j + 1] = exps.get(j + 1, 0) + 1
-            key = ((), tuple(sorted(exps.items())), 0, 0)
-            out = out + MultiPoly({key: c * e})
-    return out
+            pairs.append((fock_key(shift_exps(xs, (j, -1), (j + 1, 1))), c * e))
+    return MultiPoly(accumulate({}, pairs))
 
 
 def lowering_powers(n: int) -> list[FockPoly]:
@@ -202,11 +163,8 @@ def basis_monomials(max_degree: int) -> list[FockPoly]:
     out = []
     for total in range(max_degree + 1):
         for part in _partitions(total, total):
-            exps: dict = {}
-            for j in part:
-                exps[j] = exps.get(j, 0) + 1
-            key = ((), tuple(sorted(exps.items())), 0, 0)
-            out.append(MultiPoly({key: Fraction(1)}))
+            xs = shift_exps((), *((j, 1) for j in part))
+            out.append(MultiPoly({fock_key(xs): Fraction(1)}))
     return out
 
 

@@ -120,7 +120,9 @@ def test_verify_below_minimum_order_is_usage_error(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("order, seed", [(6, 0), (10, 0), (14, 0), (10, 7)])
+@pytest.mark.parametrize(
+    "order, seed", [(6, 0), (10, 0), (14, 0), (6, 7), (10, 7), (14, 7)]
+)
 def test_verify_report_matches_golden(capsys, order, seed):
     code, out, _ = run(
         capsys, "verify", "--id", "ALL", "--order", str(order), "--seed", str(seed)

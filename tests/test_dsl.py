@@ -1,5 +1,7 @@
 """Expression grammar: parsing, spans, evaluation, round trips."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -192,6 +194,14 @@ def test_eval_reversion_matches_log():
 def test_eval_power_and_literals():
     assert evaluate("1/2*t^2", 4) == TruncatedSeries([0, 0, F(1, 2)], order=4)
     assert evaluate("(1+t)^3", 4) == TruncatedSeries([1, 3, 3, 1], order=4)
+
+
+def test_eval_huge_powers_return_promptly():
+    start = time.perf_counter()
+    assert evaluate("t^10000000", 5) == TruncatedSeries.zero(5)
+    binomial = evaluate("(1+t)^10000000", 5)
+    assert binomial.coeffs == tuple(math.comb(10**7, k) for k in range(6))
+    assert time.perf_counter() - start < 2
 
 
 def test_eval_unary_minus():

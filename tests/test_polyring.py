@@ -14,6 +14,7 @@ from umbralcalc.errors import (
 from umbralcalc.genseries import GenSeries
 from umbralcalc.polyring import (
     MultiPoly,
+    accumulate,
     derivation,
     derivation_powers,
     exp_derivation,
@@ -21,6 +22,7 @@ from umbralcalc.polyring import (
     specialize_fock,
     specialize_x,
     specialize_y,
+    shift_exps,
     to_univar,
 )
 from umbralcalc.sampling import random_delta, random_multipoly, random_series, rng_for
@@ -32,6 +34,35 @@ F = Fraction
 
 Y = MultiPoly.y
 X = MultiPoly.x
+
+
+# -- monomial keys and sparse sums ----------------------------------------------
+
+
+def test_cancelling_terms_leave_no_zero_key():
+    rng = rng_for(0, "cancel")
+    for _ in range(5):
+        p = random_multipoly(rng)
+        assert (p + (-p)).terms == {}
+        assert (p - p).terms == {}
+    product = (X(1) + Y(0)) * (X(1) - Y(0))
+    assert len(product.terms) == 2
+    assert product == X(1) ** 2 - Y(0) ** 2
+    assert all(product.terms.values())
+
+
+def test_accumulate_drops_zero_sums():
+    acc = accumulate({"a": F(1)}, [("b", F(2)), ("a", F(-1)), ("b", F(1))])
+    assert acc == {"b": F(3)}
+    assert accumulate({}, [("a", F(1)), ("a", F(-1)), ("a", F(5))]) == {"a": F(5)}
+
+
+def test_shift_exps():
+    assert shift_exps(((1, 2), (3, 1)), (3, -1), (2, 1)) == ((1, 2), (2, 1))
+    assert shift_exps(((1, 1),), (1, -1), (1, 1)) == ((1, 1),)
+    assert shift_exps((), *((j, 1) for j in (3, 1, 1))) == ((1, 2), (3, 1))
+    with pytest.raises(ValueError):
+        shift_exps(((1, 1),), (1, -2))
 
 
 # -- the derivation ------------------------------------------------------------
@@ -61,8 +92,6 @@ def test_derivation_product_rule():
 def test_derivation_rejects_plain_variables():
     with pytest.raises(UnsupportedVariable):
         derivation(MultiPoly.plain_x())
-    with pytest.raises(UnsupportedVariable):
-        derivation(MultiPoly.plain_w())
 
 
 def test_y_floor():

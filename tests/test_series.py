@@ -104,6 +104,22 @@ def test_leibniz_egf_binomial(a, b):
 # -- multiplicative inverse --------------------------------------------------
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=series_strategy(5), n=st.integers(0, 9))
+def test_pow_matches_repeated_product(a, n):
+    expect = TruncatedSeries.one(5)
+    for _ in range(n):
+        expect = expect * a
+    assert a**n == expect
+
+
+def test_pow_past_the_order_is_zero():
+    shifted = TruncatedSeries([0, 0, 3, 1], order=7)
+    assert shifted**4 == TruncatedSeries.zero(7)
+    assert shifted**3 == TruncatedSeries([0, 0, 0, 0, 0, 0, 27, 27], order=7)
+    assert TruncatedSeries.zero(4) ** 0 == TruncatedSeries.one(4)
+
+
 def test_reciprocal_of_one():
     one = TruncatedSeries.one(6)
     assert one.reciprocal() == one

@@ -1,6 +1,7 @@
 """Pairing, attached sequences, umbral operators, shifts, and adjoints."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,24 @@ def test_adjoints_random_pairs():
             a = random_series(rng, 10)
             b = random_delta(rng, 10)
             assert check_adjoint(kind, a, b, 8)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("diff", "apply_series_in_ddx"),
+        ("subst", "umbral_operator"),
+        ("shift", "umbral_shift"),
+    ],
+)
+def test_adjoint_detects_a_broken_polynomial_side(monkeypatch, kind, name):
+    rng = rng_for(25, "adjoint-broken")
+    a = random_series(rng, 10)
+    b = random_delta(rng, 10)
+    module = sys.modules["umbralcalc.umbral"]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda b, p: real(b, p) + p.derivative())
+    assert not check_adjoint(kind, a, b, 8)
 
 
 def test_adjoint_subst_with_identity_is_trivial():
