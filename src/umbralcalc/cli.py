@@ -21,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     NotDeltaSeries,
     OrderTooSmall,
+    ResultTooLarge,
     UnknownIdentityTag,
 )
 from .series import TruncatedSeries
@@ -38,6 +39,10 @@ series expression grammar:
   rational := int ("/" posint)?
 polynomial arguments: comma-separated rationals, low degree first (e.g. 0,1,3/2)
 """
+
+# Longest numerator or denominator a report prints, in decimal digits (Python's
+# default is 4,300); printing costs time quadratic in the length.
+MAX_DIGITS = 100_000
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -65,25 +70,43 @@ def _series_arg(expr: str, order: int) -> TruncatedSeries:
         raise _UsageError(f"bad series expression {expr!r}: {exc}") from exc
 
 
+def _texts(values: Sequence[Fraction]) -> list[str]:
+    """Exact ``p/q`` strings, with Python's digit limit set to MAX_DIGITS."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        return [str(v) for v in values]
+    except ValueError:
+        raise ResultTooLarge(f"a result has more than {MAX_DIGITS} digits") from None
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _values_report(values: Sequence[Fraction], label: str, fmt: str) -> str:
+    texts = _texts(values)
     if fmt == "json":
-        return json.dumps({label: [str(v) for v in values]}) + "\n"
+        return json.dumps({label: texts}) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", label])
-        for n, v in enumerate(values):
-            writer.writerow([n, str(v)])
+        writer.writerows(enumerate(texts))
         return buf.getvalue()
-    return " ".join(str(v) for v in values) + "\n"
+    return " ".join(texts) + "\n"
+
+
+def _poly_report(p: UnivarPoly, fmt: str) -> str:
+    values = [p.coeff(k) for k in range(max(p.degree, 0) + 1)]
+    return _values_report(values, "coeff", fmt)
 
 
 def _scalar_report(value: Fraction, label: str, fmt: str) -> str:
+    (text,) = _texts([value])
     if fmt == "json":
-        return json.dumps({label: str(value)}) + "\n"
+        return json.dumps({label: text}) + "\n"
     if fmt == "csv":
-        return f"{label}\n{value}\n"
-    return f"{value}\n"
+        return f"{label}\n{text}\n"
+    return f"{text}\n"
 
 
 def _verify_report(results, order: int, seed: int, fmt: str) -> str:
@@ -175,89 +198,61 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     opts = parser.parse_args(argv)
+    code = 0
     try:
         if opts.order is not None and opts.order < 0:
             raise _UsageError("--order must be nonnegative")
         if opts.command == "bell":
-            values = registry.bell_egf(opts.order)
-            _emit(_values_report(values, "bell", opts.format), opts.output)
-            return 0
-
-        if opts.command == "umbral-seq":
+            text = _values_report(registry.bell_egf(opts.order), "bell", opts.format)
+        elif opts.command == "umbral-seq":
             if opts.n < 0:
                 raise _UsageError("--n must be nonnegative")
-            order = max(opts.n, 1, opts.order or 0)
-            b = _series_arg(opts.b_expr, order)
-            poly = attached_polynomial(b, opts.n)
-            values = [poly.coeff(k) for k in range(opts.n + 1)]
-            _emit(_values_report(values, "coeff", opts.format), opts.output)
-            return 0
-
-        if opts.command == "theta":
+            b = _series_arg(opts.b_expr, max(opts.n, 1, opts.order or 0))
+            text = _poly_report(attached_polynomial(b, opts.n), opts.format)
+        elif opts.command == "theta":
             p = _parse_poly(opts.poly)
-            order = max(p.degree, 1, opts.order or 0)
-            b = _series_arg(opts.b_expr, order)
-            image = umbral_operator(b, p)
-            values = [image.coeff(k) for k in range(max(image.degree, 0) + 1)]
-            _emit(_values_report(values, "coeff", opts.format), opts.output)
-            return 0
-
-        if opts.command == "shift":
+            b = _series_arg(opts.b_expr, max(p.degree, 1, opts.order or 0))
+            text = _poly_report(umbral_operator(b, p), opts.format)
+        elif opts.command == "shift":
             p = _parse_poly(opts.poly)
-            needed = max(p.degree, p.degree - opts.m, 1)
-            order = max(needed, opts.order or 0)
+            order = max(p.degree, p.degree - opts.m, 1, opts.order or 0)
             b = _series_arg(opts.b_expr, order)
-            image = mode_shift(b, opts.m, p)
-            values = [image.coeff(k) for k in range(max(image.degree, 0) + 1)]
-            _emit(_values_report(values, "coeff", opts.format), opts.output)
-            return 0
-
-        if opts.command == "fmn-table":
+            text = _poly_report(mode_shift(b, opts.m, p), opts.format)
+        elif opts.command == "fmn-table":
             table = FTable(opts.max_m, opts.max_n)
             if opts.format == "json":
-                _emit(table.to_json(), opts.output)
+                text = table.to_json()
             elif opts.format == "csv":
-                _emit(table.to_csv(), opts.output)
+                text = table.to_csv()
             else:
-                lines = []
-                for m, row in table.rows():
-                    lines.append(
-                        f"m={m:>2}: " + " ".join(str(v) for v in row)
-                    )
-                _emit("\n".join(lines) + "\n", opts.output)
-            return 0
-
-        if opts.command == "pair":
+                text = "\n".join(
+                    f"m={m:>2}: " + " ".join(str(v) for v in row) for m, row in table.rows()
+                ) + "\n"
+        elif opts.command == "pair":
             p = _parse_poly(opts.poly)
-            order = max(p.degree, 0, opts.order or 0)
-            a = _series_arg(opts.a_expr, order)
-            value = pairing(a, p)
-            _emit(_scalar_report(value, "pairing", opts.format), opts.output)
-            return 0
-
-        if opts.command == "verify":
+            a = _series_arg(opts.a_expr, max(p.degree, 0, opts.order or 0))
+            text = _scalar_report(pairing(a, p), "pairing", opts.format)
+        elif opts.command == "verify":
             if opts.tag == "ALL":
                 results = registry.run_all(order=opts.order, seed=opts.seed)
             else:
                 results = [
                     registry.run_check(opts.tag, order=opts.order, seed=opts.seed)
                 ]
-            _emit(
-                _verify_report(results, opts.order, opts.seed, opts.format),
-                opts.output,
-            )
-            return 0 if all(r.passed for r in results) else 1
-
-        raise _UsageError(f"unknown command {opts.command!r}")
-    except UnknownIdentityTag as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (NotDeltaSeries, OrderTooSmall, IndexOutOfRange) as exc:
+            text = _verify_report(results, opts.order, opts.seed, opts.format)
+            code = 0 if all(r.passed for r in results) else 1
+        else:
+            raise _UsageError(f"unknown command {opts.command!r}")
+    except (
+        UnknownIdentityTag, NotDeltaSeries, OrderTooSmall, IndexOutOfRange, ResultTooLarge
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n{GRAMMAR}")
         return 2
+    _emit(text, opts.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -37,5 +37,9 @@ class NotHomogeneous(ValueError):
     """A graded-space operation was applied to a mixed-weight element."""
 
 
+class ResultTooLarge(ValueError):
+    """A result has a number too long to print exactly."""
+
+
 class UnknownIdentityTag(ValueError):
     """An adjoint/identity check was requested with an unrecognised tag."""

@@ -146,12 +146,6 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def y_indices(self) -> set:
-        return {i for k in self.terms for i, _ in k[0]}
-
-    def x_indices(self) -> set:
-        return {j for k in self.terms for j, _ in k[1]}
-
     @property
     def uses_plain_x(self) -> bool:
         return any(k[2] for k in self.terms)

@@ -36,12 +36,6 @@ def random_delta(rng: random.Random, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order=order)
 
 
-def random_unit(rng: random.Random, order: int) -> TruncatedSeries:
-    coeffs = [random_rational(rng, nonzero=True)]
-    coeffs += [random_rational(rng) for _ in range(order)]
-    return TruncatedSeries(coeffs, order=order)
-
-
 def random_poly(rng: random.Random, degree: int) -> UnivarPoly:
     coeffs = [random_rational(rng) for _ in range(degree)]
     coeffs.append(random_rational(rng, nonzero=True))

@@ -4,14 +4,24 @@ A :class:`TruncatedSeries` stores ordinary coefficients ``c_0 .. c_N`` for a
 fixed truncation order ``N`` and represents ``sum c_n t^n + O(t^(N+1))``.
 Exponential-generating-function (EGF) coefficients ``A_n = n! * c_n`` are a
 computed view, never stored.  Every operation is exact: coefficients are
-:class:`fractions.Fraction` values and binary operations truncate to the
-smaller of the two operand orders, so no claimed coefficient is ever a guess.
+:class:`fractions.Fraction` values (only ``int`` and ``Fraction`` are
+accepted as input) and binary operations truncate to the smaller of the two
+operand orders, so no claimed coefficient is ever a guess.
+
+The dense operations run fraction-free: ``_scaled`` clears an operand's
+denominators with one lcm ``d`` (``c_n = x_n / d``, ``x`` integers), the work
+runs over Python ints, and one ``Fraction`` is built per output coefficient.
+Counted in big-integer multiply-adds at order ``N`` (whose integers grow
+linearly in bits with ``N``): ``*``, ``reciprocal``, ``exp_series`` and
+``log_series`` (recurrences) take ``N^2/2``, ``compose`` (Horner) ``N^3/6``
+and ``reversion`` (Lagrange inversion, baby-step giant-step powers) ``N^2.5``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -31,18 +41,44 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def as_rational(value) -> Fraction:
+    """``value`` as a ``Fraction``; ``int`` and ``Fraction`` are the only exact scalars."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+
+
+# -- integer core --------------------------------------------------------------
+
+
+def _scaled(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(xs, d)`` with ``cs[n] == xs[n] / d``; ``d`` is the lcm of the denominators."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _iconv(xs: Sequence[int], ys: Sequence[int], order: int) -> list[int]:
+    """Cauchy product of two integer vectors truncated to ``order``; ``ys``
+    needs ``order + 1`` entries, ``xs`` may be shorter (missing ones are 0)."""
+    return [sum(map(mul, xs[: m + 1], ys[m::-1])) for m in range(order + 1)]
+
+
+def _iinverse(cs: Sequence[int], order: int) -> list[int]:
+    """``R_k = c_0^(k+1) [t^k] (1/c)`` for ``k <= order``, all integers."""
+    c0 = cs[0]
+    ws = [cs[j] * c0 ** (j - 1) for j in range(1, order + 1)]
+    rs = [1]
+    for _ in range(order):
+        rs.append(-sum(map(mul, ws, rs[::-1])))
+    return rs
+
+
 def _conv(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int) -> list[Fraction]:
     """Cauchy product of two coefficient lists, truncated to ``order``."""
-    out = [_ZERO] * (order + 1)
-    for i, xi in enumerate(xs):
-        if i > order or not xi:
-            continue
-        top = min(len(ys) - 1, order - i)
-        for j in range(top + 1):
-            yj = ys[j]
-            if yj:
-                out[i + j] += xi * yj
-    return out
+    x, dx = _scaled(xs[: order + 1])
+    y, dy = _scaled(ys[: order + 1])
+    den = dx * dy
+    return [Fraction(v, den) for v in _iconv(x, y, order)]
 
 
 class TruncatedSeries:
@@ -51,7 +87,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar], order: Optional[int] = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
@@ -73,7 +109,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
-        return cls([Fraction(value)], order=order)
+        return cls([value], order=order)
 
     @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
@@ -83,7 +119,7 @@ class TruncatedSeries:
     @classmethod
     def from_egf(cls, values: Iterable[Scalar], order: Optional[int] = None) -> "TruncatedSeries":
         """Build a series from EGF coefficients ``A_n`` (so ``c_n = A_n / n!``)."""
-        cs = [Fraction(v) / math.factorial(n) for n, v in enumerate(values)]
+        cs = [as_rational(v) / math.factorial(n) for n, v in enumerate(values)]
         return cls(cs, order=order)
 
     # -- basic views -------------------------------------------------------
@@ -250,7 +286,7 @@ class TruncatedSeries:
             egf = self.egf_coeffs()
             return TruncatedSeries.from_egf(egf[n:])
         ext = extension or {}
-        values = [Fraction(ext.get(m, 0)) for m in range(n, 0)]
+        values = [as_rational(ext.get(m, 0)) for m in range(n, 0)]
         values.extend(self.egf_coeffs())
         return TruncatedSeries.from_egf(values)
 
@@ -261,84 +297,82 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise InnerConstantTerm("inner series has nonzero constant term")
         n = min(self.order, inner.order)
-        b = inner.coeffs[: n + 1]
-        out = [self.coeffs[0]] + [_ZERO] * n
-        power = [_ONE] + [_ZERO] * n
-        for k in range(1, n + 1):
-            power = _conv(power, b, n)
-            ak = self.coeffs[k]
-            if not ak:
-                continue
-            for m in range(k, n + 1):
-                if power[m]:
-                    out[m] += ak * power[m]
-        return TruncatedSeries(out)
+        a, da = _scaled(self.coeffs[: n + 1])
+        b, db = _scaled(inner.coeffs[: n + 1])
+        # Horner: acc_k = acc_(k+1) * b + a_k * db^(n-k), to degree n - k
+        # (b^k starts at t^k), ends at acc_0 = da * db^n * self(inner)
+        acc, scale = [a[n]], 1
+        for k in range(n - 1, -1, -1):
+            scale *= db
+            acc = _iconv(acc, b, n - k)
+            acc[0] += a[k] * scale
+        return TruncatedSeries([Fraction(v, da * scale) for v in acc])
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse, solved order by order."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse: ``1/c = d / x`` with ``x`` the cleared ``c``."""
+        if not self.coeffs[0]:
             raise ZeroConstantTerm("no multiplicative inverse: constant term is 0")
-        n = self.order
-        out = [_ONE / c0] + [_ZERO] * n
-        for k in range(1, n + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc / c0
-        return TruncatedSeries(out)
+        x, d = _scaled(self.coeffs)
+        rs = _iinverse(x, self.order)
+        return TruncatedSeries([Fraction(d * r, x[0] ** (k + 1)) for k, r in enumerate(rs)])
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of a delta series, solved order by order.
+        """Compositional inverse of a delta series, by Lagrange inversion.
 
-        The coefficient of ``t^n`` in ``self(result)`` is linear in the
-        ``n``-th unknown with slope ``c_1``, so each coefficient is pinned by
-        requiring the composite to match ``t``.
+        ``[t^k] rev(b) = (1/k) [t^(k-1)] h^k`` with ``h = t/b``; for
+        ``b = t q / dq``, ``h_j = dq R_j / q_0^(j+1)`` with ``R = _iinverse(q)``.
         """
         if not self.is_delta:
             raise NotDeltaSeries("reversion requires a delta series")
         n = self.order
-        c1 = self.coeffs[1]
-        out = [_ZERO, _ONE / c1] + [_ZERO] * (n - 1)
-        for k in range(2, n + 1):
-            partial = TruncatedSeries(out[: k + 1])
-            residue = self.truncate(k).compose(partial).coeffs[k]
-            out[k] = -residue / c1
+        q, dq = _scaled(self.coeffs[1:])
+        rs = _iinverse(q, n - 1)
+        # baby steps R^0..R^s, giant steps R^(js): [t^(k-1)] R^k is one dot product
+        s = math.isqrt(n) + 1
+        baby = [[1] + [0] * (n - 1)]
+        for _ in range(s):
+            baby.append(_iconv(baby[-1], rs, n - 1))
+        giant, out = baby[0], [_ZERO]
+        for k in range(1, n + 1):
+            if not k % s:
+                giant = _iconv(giant, baby[s], n - 1)
+            c = sum(map(mul, baby[k % s][:k], giant[k - 1 :: -1]))
+            out.append(Fraction(dq**k * c, k * q[0] ** (2 * k - 1)))
         return TruncatedSeries(out)
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
-    """Formal exponential ``sum a^n / n!`` of a series with zero constant term."""
+    """Formal exponential ``sum a^n / n!`` of a series with zero constant term.
+
+    ``n f_n = sum_k k a_k f_(n-k)`` keeps ``F_n = n! d^n f_n`` integral:
+    ``F_n = sum_k C(n-1, k-1) k! x_k d^(k-1) F_(n-k)``.
+    """
     if a.coeffs[0]:
         raise NonzeroConstantTerm("exp needs a zero constant term")
     n = a.order
-    out = [_ONE] + [_ZERO] * n
-    power = [_ONE] + [_ZERO] * n
-    for k in range(1, n + 1):
-        power = _conv(power, a.coeffs, n)
-        inv = _ONE / math.factorial(k)
-        for m in range(k, n + 1):
-            if power[m]:
-                out[m] += inv * power[m]
-    return TruncatedSeries(out)
+    x, d = _scaled(a.coeffs)
+    vs = [math.factorial(k) * x[k] * d ** (k - 1) for k in range(1, n + 1)]
+    fs = [1]
+    for m in range(1, n + 1):
+        fs.append(sum(math.comb(m - 1, k) * vs[k] * fs[m - 1 - k] for k in range(m)))
+    return TruncatedSeries([Fraction(f, math.factorial(m) * d**m) for m, f in enumerate(fs)])
 
 
 def log_series(c: TruncatedSeries) -> TruncatedSeries:
-    """Formal logarithm of a series with constant term 1; inverse of exp_series."""
+    """Formal logarithm of a series with constant term 1; inverse of exp_series.
+
+    ``c L' = c'`` keeps ``G_n = n d^n L_n`` integral (``x_0 = d``):
+    ``G_n = n w_n - sum_(0<j<n) w_j G_(n-j)`` with ``w_j = x_j d^(j-1)``.
+    """
     if c.coeffs[0] != 1:
         raise ConstantTermNotOne("log needs constant term 1")
     n = c.order
-    u = [_ZERO] + list(c.coeffs[1:])
-    out = [_ZERO] * (n + 1)
-    power = [_ONE] + [_ZERO] * n
-    for k in range(1, n + 1):
-        power = _conv(power, u, n)
-        sign = _ONE / k if k % 2 else -_ONE / k
-        for m in range(k, n + 1):
-            if power[m]:
-                out[m] += sign * power[m]
-    return TruncatedSeries(out)
+    x, d = _scaled(c.coeffs)
+    ws = [x[j] * d ** (j - 1) for j in range(1, n + 1)]
+    gs = [0]
+    for m in range(1, n + 1):
+        gs.append(m * ws[m - 1] - sum(map(mul, ws[: m - 1], gs[:0:-1])))
+    return TruncatedSeries([_ZERO] + [Fraction(g, m * d**m) for m, g in enumerate(gs[1:], 1)])
 
 
 def shift_multiplier(b: TruncatedSeries) -> TruncatedSeries:

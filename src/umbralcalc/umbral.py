@@ -87,7 +87,6 @@ def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Ge
                 if bcs[j]:
                     nxt[i + j] += pi * bcs[j]
         power = nxt
-        ak = a.coeffs[k]
         for m in range(k, order + 1):
             cols[m][k] = power[m]
     out = []

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .series import as_rational
+
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -20,7 +22,7 @@ class UnivarPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism, file output."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,34 @@ def test_non_delta_series_is_usage_error(capsys):
     code, _, err = run(capsys, "umbral-seq", "--B", "1+t", "--n", "2")
     assert code == 2
     assert "delta" in err
+
+
+def _decimal(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_huge_coefficients_print_exactly(capsys):
+    # 2^40000 has 12,042 digits, past Python's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "umbral-seq", "--B", "t*2^20000", "--n", "2")
+    assert code == 0
+    assert out == f"0 0 {_decimal(2**40000)}\n"
+    code, out, _ = run(capsys, "pair", "--A", "2^20000", "--p", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"pairing": _decimal(2**20000)}
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_coefficient_past_the_digit_ceiling_is_usage_error(capsys):
+    code, out, err = run(capsys, "umbral-seq", "--B", "t*2^400000", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a result has more than {cli.MAX_DIGITS} digits\n"
 
 
 def test_bad_polynomial_is_usage_error(capsys):

@@ -366,3 +366,24 @@ def test_scalar_arithmetic():
 def test_str_rendering():
     s = TruncatedSeries([0, 1, F(1, 2)])
     assert str(s) == "t + 1/2*t^2 + O(t^3)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries([0.1]),
+        lambda: TruncatedSeries([1, 2.0], order=3),
+        lambda: TruncatedSeries.constant(0.5, 2),
+        lambda: TruncatedSeries.from_egf([1, 0.5]),
+        lambda: TruncatedSeries([1, 2]).egf_shift(-1, {-1: 0.25}),
+    ],
+)
+def test_floats_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_coefficients_are_fractions():
+    s = TruncatedSeries([1, F(1, 2), True])
+    assert all(type(c) is F for c in s.coeffs)
+    assert s.coeffs == (F(1), F(1, 2), F(1))

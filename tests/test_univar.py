@@ -68,3 +68,11 @@ def test_pow_rejects_negative():
 def test_str():
     assert str(UnivarPoly([0, 1, 1])) == "x + x^2"
     assert str(UnivarPoly.zero()) == "0"
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        UnivarPoly([0.5])
+    with pytest.raises(TypeError):
+        UnivarPoly([1, 2]) + 0.5
+    assert all(type(c) is F for c in UnivarPoly([1, F(1, 2)]).coeffs)
