@@ -19,6 +19,7 @@ from . import registry
 from .dsl import EvalError, ExprSyntaxError, evaluate
 from .errors import (
     IndexOutOfRange,
+    LiteralTooLong,
     NotDeltaSeries,
     OrderTooSmall,
     ResultTooLarge,
@@ -244,7 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             raise _UsageError(f"unknown command {opts.command!r}")
     except (
-        UnknownIdentityTag, NotDeltaSeries, OrderTooSmall, IndexOutOfRange, ResultTooLarge
+        UnknownIdentityTag, NotDeltaSeries, OrderTooSmall, IndexOutOfRange, ResultTooLarge,
+        LiteralTooLong,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

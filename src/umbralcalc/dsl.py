@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     ConstantTermNotOne,
     InnerConstantTerm,
+    LiteralTooLong,
     NonzeroConstantTerm,
     NotDeltaSeries,
     OrderTooSmall,
@@ -31,6 +32,10 @@ from .errors import (
 from .series import TruncatedSeries, exp_series, log_series
 
 FUNCTIONS = ("exp", "log", "inv", "rev")
+
+# Longest integer literal read, in decimal digits (Python's default int-from-str
+# limit); a longer one raises LiteralTooLong.
+MAX_LITERAL_DIGITS = 4_300
 
 _DOMAIN_ERRORS = (
     ZeroConstantTerm,
@@ -124,10 +129,14 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise LiteralTooLong(
+                    f"a {j - i}-digit literal at offset {i} exceeds {MAX_LITERAL_DIGITS} digits"
+                )
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue

@@ -41,5 +41,9 @@ class ResultTooLarge(ValueError):
     """A result has a number too long to print exactly."""
 
 
+class LiteralTooLong(ValueError):
+    """An integer literal has more digits than the expression reader accepts."""
+
+
 class UnknownIdentityTag(ValueError):
     """An adjoint/identity check was requested with an unrecognised tag."""

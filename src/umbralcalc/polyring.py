@@ -15,7 +15,13 @@ It also hosts the Fock space ``y*C[x_1, x_2, ...]`` of :mod:`virasoro`.
 
 This is the only module that knows the monomial-key layout; other modules
 go through :func:`shift_exps`, :func:`accumulate`, :func:`fock_key` and
-:func:`fock_terms`.
+:func:`fock_terms`.  Coefficients are ``Fraction`` values; floats are refused.
+
+``D`` has integer coefficients, so its powers and exponential clear the
+input's denominators once, apply one integer step per level (one pass over the
+terms) and divide once per output term, by ``k!`` too for ``e^(wD)``.
+:func:`specialize_x` reads each EGF value once and sums integer numerators per
+output key over ``d^degree``; :func:`specialize_y` reads each value once.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import IndexOutOfRange, NotDeltaSeries, OrderTooSmall, UnsupportedVariable
 from .genseries import GenSeries
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _scaled, as_rational
 from .univar import UnivarPoly
 
 Scalar = Union[int, Fraction]
@@ -102,7 +108,8 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping] = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        kv = (terms or {}).items()
+        self.terms = {k: q for k, v in kv if (q := v if type(v) is Fraction else as_rational(v))}
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +123,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        return cls({_EMPTY_KEY: Fraction(value)})
+        return cls({_EMPTY_KEY: as_rational(value)})
 
     @classmethod
     def y(cls, i: int, floor: Optional[int] = None) -> "MultiPoly":
@@ -252,34 +259,56 @@ def to_univar(p: MultiPoly) -> UnivarPoly:
 # -- the derivation and its exponential -------------------------------------
 
 
-def derivation(p: MultiPoly) -> MultiPoly:
-    """Apply ``D`` (``D y_i = y_(i+1) x_1``, ``D x_j = x_(j+1)``) once."""
+def _step(exps: tuple, pos: int) -> tuple:
+    """``exps`` with one unit moved from its ``pos``-th index ``i`` to ``i + 1``."""
+    i, e = exps[pos]
+    rest = exps[pos + 1 :]
+    if rest and rest[0][0] == i + 1:
+        rest = ((i + 1, rest[0][1] + 1),) + rest[1:]
+    else:
+        rest = ((i + 1, 1),) + rest
+    return exps[:pos] + (((i, e - 1),) if e > 1 else ()) + rest
+
+
+def _derive(terms: dict) -> dict:
+    """One step of ``D`` on a ``{key: coefficient}`` map; ``D`` has integer
+    coefficients, so integer coefficients stay integers."""
     pairs = []
-    for (ys, xs, px), c in p.terms.items():
+    for (ys, xs, px), c in terms.items():
         if px:
             raise UnsupportedVariable("derivation domain has no plain x")
-        for i, e in ys:
-            key = (shift_exps(ys, (i, -1), (i + 1, 1)), shift_exps(xs, (1, 1)), 0)
-            pairs.append((key, c * e))
-        for j, e in xs:
-            pairs.append(((ys, shift_exps(xs, (j, -1), (j + 1, 1)), 0), c * e))
-    return MultiPoly(accumulate({}, pairs))
+        xs1 = _step(((0, 1),) + xs, 0)  # times x_1
+        pairs += [((_step(ys, n), xs1, 0), c * e) for n, (_, e) in enumerate(ys)]
+        pairs += [((ys, _step(xs, n), 0), c * e) for n, (_, e) in enumerate(xs)]
+    return accumulate({}, pairs)
+
+
+def _powers(p: MultiPoly, count: int, divisor) -> list[MultiPoly]:
+    """``[D^k p / divisor(k) for k <= count]``: ``p = P / d`` with ``P`` integral,
+    one integer step of ``D`` per level and one division per output term."""
+    nums, d = _scaled(list(p.terms.values()))
+    levels = [dict(zip(p.terms, nums))]
+    for _ in range(count):
+        levels.append(_derive(levels[-1]))
+    return [
+        MultiPoly({key: Fraction(v, d * divisor(k)) for key, v in level.items()})
+        for k, level in enumerate(levels)
+    ]
+
+
+def derivation(p: MultiPoly) -> MultiPoly:
+    """Apply ``D`` (``D y_i = y_(i+1) x_1``, ``D x_j = x_(j+1)``) once."""
+    return derivation_powers(p, 1)[1]
 
 
 def derivation_powers(p: MultiPoly, count: int) -> list[MultiPoly]:
     """The list ``[p, Dp, D^2 p, ..., D^count p]``."""
-    out = [p]
-    for _ in range(count):
-        out.append(derivation(out[-1]))
-    return out
+    return _powers(p, count, lambda k: 1)
 
 
 def exp_derivation(p: MultiPoly, order: int) -> GenSeries:
     """Truncated expansion of ``e^(wD) p``: coefficient of ``w^k`` is ``D^k p / k!``."""
-    powers = derivation_powers(p, order)
-    return GenSeries(
-        [q * Fraction(1, math.factorial(k)) for k, q in enumerate(powers)]
-    )
+    return GenSeries(_powers(p, order, math.factorial))
 
 
 # -- substitution homomorphisms ----------------------------------------------
@@ -298,19 +327,19 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     _require_delta(b)
     if p.uses_plain_x:
         raise UnsupportedVariable("domain of the x-substitution has no plain x")
+    top = max((xs[-1][0] for _, xs, _ in p.terms if xs), default=0)
+    if top > b.order:
+        j = next(j for _, xs, _ in p.terms for j, _ in xs if j > b.order)
+        raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
+    values, d = _scaled([b.egf(j) for j in range(top + 1)])
+    nums, den = _scaled(list(p.terms.values()))
     pairs = []
-    for (ys, xs, px), c in p.terms.items():
-        mult = c
-        degree = 0
+    for (ys, xs, _), c in zip(p.terms, nums):
         for j, e in xs:
-            if j > b.order:
-                raise OrderTooSmall(
-                    f"x-index {j} exceeds series order {b.order}"
-                )
-            mult *= b.egf(j) ** e
-            degree += e
-        pairs.append(((ys, (), degree), mult))
-    return MultiPoly(accumulate({}, pairs))
+            c *= values[j] ** e
+        pairs.append(((ys, (), sum(e for _, e in xs)), c))
+    acc = accumulate({}, pairs)
+    return MultiPoly({k: Fraction(v, den * d ** k[2]) for k, v in acc.items()})
 
 
 def specialize_y(
@@ -323,20 +352,21 @@ def specialize_y(
     Negative indices draw on the extended sequence (default all zero).
     """
     ext = extension or {}
-    pairs = []
-    for (ys, xs, px), c in p.terms.items():
+    values: dict = {}
+    for ys, xs, _ in p.terms:
         if xs:
             raise UnsupportedVariable("domain of the y-substitution has no x_j")
-        mult = c
-        for i, e in ys:
-            if i < 0:
-                value = Fraction(ext.get(i, 0))
-            elif i > a.order:
+        for i, _ in ys:
+            if i in values:
+                continue
+            if i > a.order:
                 raise OrderTooSmall(f"y-index {i} exceeds series order {a.order}")
-            else:
-                value = a.egf(i)
-            mult *= value ** e
-        pairs.append((((), (), px), mult))
+            values[i] = a.egf(i) if i >= 0 else as_rational(ext.get(i, 0))
+    pairs = []
+    for (ys, _, px), c in p.terms.items():
+        for i, e in ys:
+            c *= values[i] ** e
+        pairs.append((((), (), px), c))
     return MultiPoly(accumulate({}, pairs))
 
 

@@ -10,17 +10,26 @@ and carry two distinguished operators: the umbral operator ``x^n -> B_n(x)``
 and the umbral shift ``B_n -> B_(n+1)``.  A note on indexing: the sequence
 attached to ``B`` here is the one classical treatments associate to the
 compositional inverse of ``B``; only this direct convention is used.
+
+All of them read one integer table: with ``d`` the lcm of the denominators of
+``B``, :func:`power_table` holds ``d^k [w^m] B(w)^k`` as Python ints (``N^3/6``
+multiply-adds at order ``N``, in its own loop rather than the series kernels).
+``B_n``, the umbral operator and the shifts are integer dot products against
+it (``N^2/2``), the basis expansion is a triangular solve over one common
+denominator (``N^2/2``), and each builds one ``Fraction`` per output coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
-from .errors import NotDeltaSeries, OrderTooSmall, UnknownIdentityTag
+from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
-from .polyring import MultiPoly, derivation_powers, specialize_x, specialize_y, to_univar
-from .series import TruncatedSeries, exp_t, shift_multiplier
+from .polyring import MultiPoly, _require_delta, derivation_powers, specialize_x, specialize_y
+from .polyring import to_univar
+from .series import TruncatedSeries, _scaled, exp_t, shift_multiplier
 from .univar import UnivarPoly
 
 _ZERO = Fraction(0)
@@ -59,6 +68,21 @@ class LinearFunctional:
         return f"LinearFunctional({self.series!r})"
 
 
+def power_table(b: TruncatedSeries, order: int) -> tuple[list[list[int]], int]:
+    """``(rows, d)`` with ``rows[k][m] = d^k [w^m] B(w)^k`` for ``k, m <= order``,
+    all integers; a row is zero below ``m = k`` because ``B`` is delta."""
+    if b.order < order:
+        raise OrderTooSmall(f"need series order {order}, have {b.order}")
+    _require_delta(b)
+    xs, d = _scaled(b.coeffs[: order + 1])
+    rows = [[1] + [0] * order]
+    for k in range(1, order + 1):
+        prev = rows[-1]
+        row = [sum(map(mul, prev[k - 1 : m], xs[m - k + 1 : 0 : -1])) for m in range(k, order + 1)]
+        rows.append([0] * k + row)
+    return rows, d
+
+
 def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> GenSeries:
     """The ``w``-expansion of ``A(x * B(w))`` with UnivarPoly coefficients.
 
@@ -66,33 +90,19 @@ def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Ge
     the coefficient of ``w^m`` only involves powers ``B(w)^k`` with ``k <= m``
     because ``B`` is delta.
     """
-    if not b.is_delta:
-        raise NotDeltaSeries("substitution series must be delta")
+    _require_delta(b)
     if b.order < order or a.order < order:
         raise OrderTooSmall(
             f"need both series to order {order}; have {a.order} and {b.order}"
         )
-    bcs = b.coeffs[: order + 1]
-    # columns[m][k] = coefficient of w^m in B(w)^k
-    power = [Fraction(1)] + [_ZERO] * order
-    cols: list[list[Fraction]] = [[_ZERO] * (order + 1) for _ in range(order + 1)]
-    for m in range(order + 1):
-        cols[m][0] = power[m]
-    for k in range(1, order + 1):
-        nxt = [_ZERO] * (order + 1)
-        for i, pi in enumerate(power):
-            if not pi:
-                continue
-            for j in range(1, order + 1 - i):
-                if bcs[j]:
-                    nxt[i + j] += pi * bcs[j]
-        power = nxt
-        for m in range(k, order + 1):
-            cols[m][k] = power[m]
-    out = []
-    for m in range(order + 1):
-        out.append(UnivarPoly([a.coeffs[k] * cols[m][k] for k in range(m + 1)]))
-    return GenSeries(out)
+    rows, d = power_table(b, order)
+    scales = [(c.numerator, c.denominator * d**k) for k, c in enumerate(a.coeffs[: order + 1])]
+    return GenSeries(
+        [
+            UnivarPoly([Fraction(n * r, den) for (n, den), r in zip(scales, column[: m + 1])])
+            for m, column in enumerate(zip(*rows))
+        ]
+    )
 
 
 def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
@@ -100,69 +110,61 @@ def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
     return composed_expansion(exp_t(order), b, order)
 
 
+def attached_sum(table: tuple, weights: list[Fraction]) -> UnivarPoly:
+    """``sum_n weights[n] B_n(x)`` over a :func:`power_table`, whose entries give
+    ``[x^k] B_n = n!/k! rows[k][n] / d^k``."""
+    rows, d = table
+    ws, den = _scaled(weights)
+    ws = [w * math.factorial(n) for n, w in enumerate(ws)]
+    ds = [den * math.factorial(k) * d**k for k in range(len(ws))]
+    return UnivarPoly([Fraction(sum(map(mul, ws[k:], rows[k][k:])), s) for k, s in enumerate(ds)])
+
+
+def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
+    """Coordinates ``c_n`` of ``p`` in the basis ``B_0, ..., B_deg(p)`` of a
+    :func:`power_table` of order at least ``deg(p)``: the triangular system
+    ``k! d^k p_k = sum_(n >= k) v_n rows[k][n]``, ``v_n = n! c_n``, solved top
+    down over integers ``v_n = vs[n] / q`` with one common denominator ``q``."""
+    rows, d = table
+    ps, den = _scaled(p.coeffs)
+    vs, q = [0] * len(ps), 1
+    for k in range(len(ps) - 1, -1, -1):
+        dot = sum(map(mul, vs[k + 1 :], rows[k][k + 1 :]))
+        v = Fraction(ps[k] * math.factorial(k) * d**k * q - dot, q * rows[k][k])
+        if q % v.denominator:
+            f = v.denominator // math.gcd(q, v.denominator)
+            vs, q = [x * f for x in vs], q * f
+        vs[k] = v.numerator * (q // v.denominator)
+    return [Fraction(v, q * den * math.factorial(n)) for n, v in enumerate(vs)]
+
+
 def attached_polynomial(b: TruncatedSeries, n: int) -> UnivarPoly:
     """``B_n(x) = n! * [w^n] e^(x B(w))``; degree exactly ``n``."""
     if n < 0:
         raise ValueError("attached polynomials are indexed by n >= 0")
-    if b.order < n:
-        raise OrderTooSmall(f"need series order {n}, have {b.order}")
-    gs = attached_generating_series(b, n)
-    return gs.coeff(n) * Fraction(math.factorial(n))
+    return attached_sum(power_table(b, n), [_ZERO] * n + [Fraction(1)])
 
 
 def umbral_operator(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     """Linear extension of ``x^n -> B_n(x)``; preserves degree."""
     if not p:
         return UnivarPoly.zero()
-    d = p.degree
-    if b.order < d:
-        raise OrderTooSmall(f"need series order {d}, have {b.order}")
-    gs = attached_generating_series(b, d)
-    out = UnivarPoly.zero()
-    for n, c in enumerate(p.coeffs):
-        if c:
-            out = out + gs.coeff(n) * (c * Fraction(math.factorial(n)))
-    return out
+    return attached_sum(power_table(b, p.degree), p.coeffs)
 
 
 def attached_basis_expansion(b: TruncatedSeries, p: UnivarPoly) -> list[Fraction]:
-    """Coordinates of ``p`` in the basis ``B_0, ..., B_deg(p)``.
-
-    The coefficient matrix is triangular with diagonal ``B_1^n != 0``, so a
-    single back-substitution pass suffices.
-    """
+    """Coordinates of ``p`` in the basis ``B_0, ..., B_deg(p)``."""
     if not p:
         return []
-    d = p.degree
-    if b.order < d:
-        raise OrderTooSmall(f"need series order {d}, have {b.order}")
-    gs = attached_generating_series(b, d)
-    basis = [gs.coeff(n) * Fraction(math.factorial(n)) for n in range(d + 1)]
-    coords = [_ZERO] * (d + 1)
-    residue = p
-    for n in range(d, -1, -1):
-        c = residue.coeff(n) / basis[n].coeff(n)
-        coords[n] = c
-        if c:
-            residue = residue - c * basis[n]
-    assert not residue, "triangular expansion left a residue"
-    return coords
+    return basis_coordinates(power_table(b, p.degree), p)
 
 
 def umbral_shift(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     """Linear extension of ``B_n -> B_(n+1)``; raises degree by one."""
     if not p:
         return UnivarPoly.zero()
-    d = p.degree
-    if b.order < d + 1:
-        raise OrderTooSmall(f"need series order {d + 1}, have {b.order}")
-    coords = attached_basis_expansion(b, p)
-    gs = attached_generating_series(b, d + 1)
-    out = UnivarPoly.zero()
-    for n, c in enumerate(coords):
-        if c:
-            out = out + gs.coeff(n + 1) * (c * Fraction(math.factorial(n + 1)))
-    return out
+    table = power_table(b, p.degree + 1)
+    return attached_sum(table, [_ZERO] + basis_coordinates(table, p))
 
 
 def functional_shift(

@@ -142,7 +142,7 @@ class UnivarPoly:
 
     def evaluate(self, value: Scalar) -> Fraction:
         acc = _ZERO
-        v = Fraction(value)
+        v = as_rational(value)
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
@@ -152,7 +152,7 @@ class UnivarPoly:
 
     def shift_argument(self, offset: Scalar) -> "UnivarPoly":
         """The polynomial ``p(x + offset)`` expanded binomially."""
-        h = Fraction(offset)
+        h = as_rational(offset)
         out = [_ZERO] * len(self.coeffs)
         for n, c in enumerate(self.coeffs):
             if not c:

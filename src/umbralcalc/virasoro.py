@@ -39,10 +39,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import IndexOutOfRange, NotHomogeneous, OrderTooSmall
+from .errors import IndexOutOfRange, NotHomogeneous
 from .polyring import MultiPoly, accumulate, fock_key, fock_terms, shift_exps
-from .series import TruncatedSeries
-from .umbral import attached_basis_expansion, attached_generating_series
+from .series import TruncatedSeries, as_rational
+from .umbral import attached_sum, basis_coordinates, power_table
 from .univar import UnivarPoly
 
 Scalar = Union[int, Fraction]
@@ -207,7 +207,7 @@ def ladder_closed(m: int, n: Scalar) -> Fraction:
         raise IndexOutOfRange(f"ladder row index must be >= -1, got {m}")
     if m == -1:
         return Fraction(1)
-    z = Fraction(n)
+    z = as_rational(n)
     prod = Fraction(1)
     for i in range(m):
         prod *= z - i
@@ -269,22 +269,12 @@ def mode_shift(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
     if not p:
         return UnivarPoly.zero()
     d = p.degree
-    top = max(d, d - m)
-    if b.order < top:
-        raise OrderTooSmall(f"need series order {top}, have {b.order}")
-    coords = attached_basis_expansion(b, p)
-    gs = attached_generating_series(b, top)
-    out = UnivarPoly.zero()
-    for n, c in enumerate(coords):
-        if not c:
-            continue
-        k = n - m
-        if k < 0:
-            continue
-        f = ladder_value(m, n)
-        if f:
-            out = out + gs.coeff(k) * (c * f * Fraction(math.factorial(k)))
-    return out
+    table = power_table(b, max(d, d - m))
+    weights = [_ZERO] * (d - m + 1)
+    for n, c in enumerate(basis_coordinates(table, p)):
+        if c and n >= m:
+            weights[n - m] = c * ladder_value(m, n)
+    return attached_sum(table, weights)
 
 
 # -- the referee's Sheffer pair ----------------------------------------------
@@ -294,7 +284,7 @@ def binom_general(z: Scalar, k: int) -> Fraction:
     """Generalized binomial ``C(z, k)`` via a falling factorial; 0 for k < 0."""
     if k < 0:
         return _ZERO
-    zq = Fraction(z)
+    zq = as_rational(z)
     prod = Fraction(1)
     for i in range(k):
         prod *= zq - i
@@ -311,7 +301,7 @@ def sheffer_pair(n: int, xval: Scalar) -> tuple[Fraction, Fraction]:
     """
     if n < 0:
         raise IndexOutOfRange("sheffer index must be >= 0")
-    x = Fraction(xval)
+    x = as_rational(xval)
     t = ladder_closed(n - 1, x + n)
     s = binom_general(x + n + 1, n) - _HALF * binom_general(x + n, n - 1)
     return t, s

@@ -180,6 +180,13 @@ def test_coefficient_past_the_digit_ceiling_is_usage_error(capsys):
     assert err == f"error: a result has more than {cli.MAX_DIGITS} digits\n"
 
 
+def test_huge_literal_exits_two_with_one_line(capsys):
+    code, out, err = run(capsys, "pair", "--A", "7" * 5000, "--p", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: a 5000-digit literal at offset 0 exceeds 4300 digits\n"
+
+
 def test_bad_polynomial_is_usage_error(capsys):
     code, _, err = run(capsys, "theta", "--B", "t", "--p", "1,zebra")
     assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbralcalc.dsl import (
     FUNCTIONS,
+    MAX_LITERAL_DIGITS,
     BinOp,
     Call,
     EvalError,
@@ -22,6 +23,7 @@ from umbralcalc.dsl import (
     parse,
     to_text,
 )
+from umbralcalc.errors import LiteralTooLong
 from umbralcalc.series import TruncatedSeries, exp_t
 
 F = Fraction
@@ -233,3 +235,16 @@ def test_eval_domain_error_spans():
 def test_eval_of_reparsed_tree():
     tree = parse("exp(t)-1")
     assert eval_expr(tree, 6) == exp_t(6) - 1
+
+
+def test_literal_digit_ceiling():
+    top = "7" * MAX_LITERAL_DIGITS
+    assert evaluate(f"{top}/3 + t^1", 1).coeffs[0] == F(int(top), 3)
+    for text in ("7" * (MAX_LITERAL_DIGITS + 1), f"1/{'3' * 5000}", f"t^{'2' * 5000}"):
+        with pytest.raises(LiteralTooLong, match=f"exceeds {MAX_LITERAL_DIGITS} digits"):
+            parse(text)
+
+
+def test_non_ascii_digits_are_syntax_errors():
+    with pytest.raises(ExprSyntaxError, match="unexpected character"):
+        parse("2\u00b2")

@@ -1,13 +1,13 @@
-"""Each dense series kernel, broken on purpose, is caught by the registry.
+"""Each kernel, broken on purpose, is caught by the registry.
 
 A mutant adds one to a single fixed coefficient of a kernel's output (for the
 integer core, one unit at ``t^9`` of every integer convolution).  The
 registry checks that guard the kernel must then report FAIL at order 10.
-Kernels are patched through ``sys.modules["umbralcalc.series"]``: the package
-re-exports some names, so ``import umbralcalc.series as S`` is not a safe
-handle.  Unmutated, every check passes at order 10 (the golden reports in
-``tests/golden`` pin that).  ``log_series`` has no mutant here because no
-registry check guards it yet.
+Kernels are patched through ``sys.modules["umbralcalc.<module>"]``: the
+package re-exports some names (``umbralcalc.virasoro`` is also a function),
+so ``import umbralcalc.series as S`` is not a safe handle.  Unmutated, every
+check passes at order 10 (the golden reports in ``tests/golden`` pin that).
+``log_series`` has no mutant here because no registry check guards it yet.
 """
 
 import sys
@@ -15,8 +15,13 @@ import sys
 import pytest
 
 from umbralcalc import registry
+from umbralcalc.genseries import GenSeries
+from umbralcalc.polyring import MultiPoly
+from umbralcalc.univar import UnivarPoly
 
-series = sys.modules["umbralcalc.series"]
+series, polyring, umbral, virasoro = (
+    sys.modules[f"umbralcalc.{name}"] for name in ("series", "polyring", "umbral", "virasoro")
+)
 
 
 def _bump(coeffs, k):
@@ -48,19 +53,86 @@ def _patch_method(name, k):
     return patch
 
 
+def _patch_everywhere(mp, home, name, make_mutant):
+    """Replace ``home.name`` by ``make_mutant(original)`` in every ``umbralcalc``
+    module that bound it."""
+    original = getattr(home, name)
+    mutant = make_mutant(original)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("umbralcalc") and (
+            getattr(module, name, None) is original
+        ):
+            mp.setattr(module, name, mutant)
+
+
 def _patch_function(name, k):
-    """Patch a module function in every ``umbralcalc`` module that bound it."""
+    """Patch a series function in every ``umbralcalc`` module that bound it."""
+    return lambda mp: _patch_everywhere(mp, series, name, lambda fn: _off_by_one(fn, k))
 
-    def patch(mp):
-        original = getattr(series, name)
-        mutant = _off_by_one(original, k)
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("umbralcalc") and (
-                getattr(module, name, None) is original
-            ):
-                mp.setattr(module, name, mutant)
 
-    return patch
+def _composed_off_at_w4(fn):
+    """``[w^4] A(x B(w))`` gains an extra ``x``."""
+
+    def mutant(*args):
+        cs = list(fn(*args).coeffs)
+        if len(cs) > 4:
+            cs[4] = cs[4] + UnivarPoly.x()
+        return GenSeries(cs)
+
+    return mutant
+
+
+def _table_off_at_w4(fn):
+    """``[w^4] B(w)^k`` is off by one for ``k = 1 .. 4``."""
+
+    def mutant(b, order):
+        rows, d = fn(b, order)
+        rows = [list(row) for row in rows]
+        for k in range(1, 5 if order >= 4 else 0):
+            rows[k][4] += 1
+        return rows, d
+
+    return mutant
+
+
+def _patch_derivation_step(mp):
+    """The integer ``D`` step is off by one on every term of ``x``-degree 3."""
+    step = polyring._derive
+
+    def mutant(terms):
+        out = step(terms)
+        for key in out:
+            if sum(e for _, e in key[1]) == 3:
+                out[key] += 1
+        return out
+
+    mp.setattr(polyring, "_derive", mutant)
+
+
+def _specialize_x_off_at_x3(fn):
+    def mutant(p, b):
+        image = fn(p, b)
+        return MultiPoly({k: v + 1 if k[2] == 3 else v for k, v in image.terms.items()})
+
+    return mutant
+
+
+def _ladder_off_at_2_6(fn):
+    return lambda m, n: fn(m, n) + (1 if (m, n) == (2, 6) else 0)
+
+
+def _patch_virasoro_unit(mp):
+    """The first coefficient of ``L(3)`` on every monomial is off by one."""
+    unit = virasoro._virasoro_unit
+
+    def mutant(m, xs):
+        pairs = unit(m, xs)
+        if m != 3 or not pairs:
+            return pairs
+        (key, value), *rest = pairs
+        return ((key, value + 1), *rest)
+
+    mp.setattr(virasoro, "_virasoro_unit", mutant)
 
 
 # kernel: (patch, registry checks that must FAIL)
@@ -73,6 +145,24 @@ MUTANTS = {
     "reversion": (_patch_method("reversion", 7), ("ADJNEW", "ADJ-SHIFT", "BSTAR")),
     "reciprocal": (_patch_method("reciprocal", 5), ("BSTAR",)),
     "exp_series": (_patch_function("exp_series", 5), ("UMBRAL-BASIS",)),
+    "power table": (
+        lambda mp: _patch_everywhere(mp, umbral, "power_table", _table_off_at_w4),
+        ("FDBU", "ADJ-SUBST", "ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
+    ),
+    "composed_expansion": (
+        lambda mp: _patch_everywhere(mp, umbral, "composed_expansion", _composed_off_at_w4),
+        ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
+    ),
+    "derivation step": (_patch_derivation_step, ("AUTOMORPHISM", "FDBU", "ADJNEW")),
+    "specialize_x": (
+        lambda mp: _patch_everywhere(mp, polyring, "specialize_x", _specialize_x_off_at_x3),
+        ("FDBU", "ADJNEW", "UMBVIR"),
+    ),
+    "ladder_value": (
+        lambda mp: _patch_everywhere(mp, virasoro, "ladder_value", _ladder_off_at_2_6),
+        ("LADDER", "F-CLOSED", "RECSQUARE", "GENSHIFT-GF"),
+    ),
+    "_virasoro_unit": (_patch_virasoro_unit, ("VIR-BRACKET", "LADDER")),
 }
 
 

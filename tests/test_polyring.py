@@ -266,3 +266,27 @@ def test_derivation_powers_prefix():
     assert len(powers) == 4
     assert powers[1] == derivation(Y(0))
     assert powers[3] == derivation(derivation(derivation(Y(0))))
+
+
+# -- exact scalars only --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly({((), (), 0): 0.5}),
+        lambda: MultiPoly({((), (), 0): 0.0}),
+        lambda: MultiPoly.const(0.5),
+        lambda: Y(0) * 0.5,
+        lambda: Y(0) + 0.5,
+    ],
+)
+def test_multipoly_rejects_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_multipoly_coefficients_are_fractions():
+    p = MultiPoly({((), (), 0): 3, ((), ((1, 1),), 0): F(1, 2)})
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert MultiPoly.const(2).coefficient(((), (), 0)) == 2

@@ -76,3 +76,12 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         UnivarPoly([1, 2]) + 0.5
     assert all(type(c) is F for c in UnivarPoly([1, F(1, 2)]).coeffs)
+
+
+def test_evaluate_and_shift_reject_floats():
+    p = UnivarPoly([1, 2, 3])
+    with pytest.raises(TypeError):
+        p.evaluate(0.5)
+    with pytest.raises(TypeError):
+        p.shift_argument(0.5)
+    assert p.evaluate(F(1, 2)) == F(11, 4)

@@ -394,3 +394,16 @@ def test_binom_general():
     assert binom_general(F(7, 2), 2) == F(35, 8)
     assert binom_general(5, -1) == 0
     assert binom_general(F(-1, 2), 0) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ladder_closed(2, 0.5),
+        lambda: binom_general(0.5, 2),
+        lambda: sheffer_pair(2, 0.5),
+    ],
+)
+def test_closed_forms_reject_floats(call):
+    with pytest.raises(TypeError):
+        call()
