@@ -17,6 +17,7 @@ subexpression.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -266,8 +267,14 @@ def _respan(node, span):
 
 
 def parse(text: str):
-    """Parse a series expression into its syntax tree."""
-    return _Parser(text).parse()
+    """Parse a series expression into its syntax tree, reading literals up to
+    ``MAX_LITERAL_DIGITS`` digits whatever the process's int-from-str limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_LITERAL_DIGITS)
+    try:
+        return _Parser(text).parse()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -59,21 +59,16 @@ def lowest_weight_vector() -> FockPoly:
 
 
 def heisenberg(n: int, p: FockPoly) -> FockPoly:
-    """Apply the mode ``h(n)``."""
+    """Apply the mode ``h(n)``; distinct monomials have distinct images."""
     terms = fock_terms(p)
     if n == 0:
         return p
     if n < 0:
-        factor = MultiPoly.x(-n) * Fraction(1, math.factorial(-n - 1))
-        return p * factor
+        scale = Fraction(1, math.factorial(-n - 1))
+        return MultiPoly({fock_key(shift_exps(xs, (-n, 1))): c * scale for xs, c in terms})
     scale = math.factorial(n)
-    pairs = [
-        (fock_key(shift_exps(xs, (n, -1))), c * e * scale)
-        for xs, c in terms
-        for j, e in xs
-        if j == n
-    ]
-    return MultiPoly(accumulate({}, pairs))
+    pairs = ((xs, c * e * scale) for xs, c in terms for j, e in xs if j == n)
+    return MultiPoly({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs})
 
 
 @lru_cache(maxsize=None)

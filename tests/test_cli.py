@@ -187,6 +187,17 @@ def test_huge_literal_exits_two_with_one_line(capsys):
     assert err == "error: a 5000-digit literal at offset 0 exceeds 4300 digits\n"
 
 
+def test_long_literal_under_a_lowered_int_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "pair", "--A", "7" * 1000, "--p", "1")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, "7" * 1000 + "\n", "")
+
+
 def test_bad_polynomial_is_usage_error(capsys):
     code, _, err = run(capsys, "theta", "--B", "t", "--p", "1,zebra")
     assert code == 2

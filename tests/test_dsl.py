@@ -1,6 +1,7 @@
 """Expression grammar: parsing, spans, evaluation, round trips."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -243,6 +244,18 @@ def test_literal_digit_ceiling():
     for text in ("7" * (MAX_LITERAL_DIGITS + 1), f"1/{'3' * 5000}", f"t^{'2' * 5000}"):
         with pytest.raises(LiteralTooLong, match=f"exceeds {MAX_LITERAL_DIGITS} digits"):
             parse(text)
+
+
+def test_literals_ignore_a_lowered_int_limit():
+    num, den, exp = "7" * 1000, "3" * MAX_LITERAL_DIGITS, "2" * 700
+    expected = (Literal(F(int(num), int(den))), Power(Var(), int(exp)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert (parse(f"{num}/{den}"), parse(f"t^{exp}")) == expected
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_non_ascii_digits_are_syntax_errors():

@@ -135,6 +135,11 @@ def _patch_virasoro_unit(mp):
     mp.setattr(virasoro, "_virasoro_unit", mutant)
 
 
+def _h_minus_3_off(fn):
+    """The scale ``1/2!`` of ``h(-3)`` is off by one: ``3/2``."""
+    return lambda n, p: fn(n, p) * 3 if n == -3 else fn(n, p)
+
+
 # kernel: (patch, registry checks that must FAIL)
 MUTANTS = {
     "integer core": (_patch_core, ("FAA", "BELL", "ADJNEW", "BSTAR")),
@@ -163,6 +168,10 @@ MUTANTS = {
         ("LADDER", "F-CLOSED", "RECSQUARE", "GENSHIFT-GF"),
     ),
     "_virasoro_unit": (_patch_virasoro_unit, ("VIR-BRACKET", "LADDER")),
+    "heisenberg h(-3)": (
+        lambda mp: _patch_everywhere(mp, virasoro, "heisenberg", _h_minus_3_off),
+        ("HEIS",),
+    ),
 }
 
 

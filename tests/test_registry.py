@@ -82,6 +82,39 @@ def test_vir_bracket_failure_detail(monkeypatch):
     assert res.detail == "[L(-4), L(1)] on 1: monomial x1*x2*x3: difference 1/2"
 
 
+def test_heis_failure_detail(monkeypatch):
+    real = registry.heisenberg
+
+    def broken(n, p):  # h(-3) is 3/2 too large on vectors that contain x2
+        out = real(n, p)
+        return out * F(3, 2) if n == -3 and any(2 in dict(k[1]) for k in p.terms) else out
+
+    monkeypatch.setattr(registry, "heisenberg", broken)
+    res = registry.run_check("HEIS", 6, 0)
+    assert not res.passed
+    assert res.detail == "[h(-3), h(-2)] on 1: monomial x2*x3: difference 1/4"
+
+
+def test_heis_reports_the_first_failure_in_mode_order(monkeypatch):
+    """[h(-4), h(1)] fails on the sixth monomial only and [h(-4), h(3)] on the
+    first: the report names the pair that comes first, m, then n, then p."""
+    real = registry.heisenberg
+    sixth = registry.basis_monomials(8)[5]
+
+    def broken(n, p):
+        out = real(n, p)
+        if n == 1 and p == sixth:
+            out = out + X(2)
+        if n == 3 and p == MultiPoly.one():
+            out = out + X(7)
+        return out
+
+    monkeypatch.setattr(registry, "heisenberg", broken)
+    res = registry.run_check("HEIS", 6, 0)
+    assert not res.passed
+    assert res.detail == "[h(-4), h(1)] on x1*x2: monomial x2*x4: difference 1/6"
+
+
 def test_taylor_failure_detail(monkeypatch):
     real = registry.exp_w_ddx
     monkeypatch.setattr(

@@ -14,7 +14,15 @@ from umbralcalc.errors import (
     UnsupportedVariable,
 )
 from umbralcalc.genseries import GenSeries
-from umbralcalc.polyring import MultiPoly, specialize_fock, to_univar
+from umbralcalc.polyring import (
+    MultiPoly,
+    accumulate,
+    fock_key,
+    fock_terms,
+    shift_exps,
+    specialize_fock,
+    to_univar,
+)
 from umbralcalc.sampling import random_delta, random_poly, random_rational, rng_for
 from umbralcalc.umbral import (
     attached_generating_series,
@@ -71,6 +79,35 @@ def test_heisenberg_relations_small():
 def test_heisenberg_rejects_foreign_variables():
     with pytest.raises(UnsupportedVariable):
         heisenberg(1, MultiPoly.y(0))
+    for n in (-2, 0, 3):
+        for p in (MultiPoly.y(0) + X(1), MultiPoly.plain_x()):
+            with pytest.raises(UnsupportedVariable):
+                heisenberg(n, p)
+
+
+def _heisenberg_oracle(n, p):
+    """The general-product ``h(n)``: ``h(n < 0)`` multiplies by the
+    ``MultiPoly`` ``x_(-n) / (-n-1)!``."""
+    terms = fock_terms(p)
+    if n == 0:
+        return p
+    if n < 0:
+        factor = MultiPoly.x(-n) * Fraction(1, math.factorial(-n - 1))
+        return p * factor
+    scale = math.factorial(n)
+    pairs = [
+        (fock_key(shift_exps(xs, (n, -1))), c * e * scale)
+        for xs, c in terms
+        for j, e in xs
+        if j == n
+    ]
+    return MultiPoly(accumulate({}, pairs))
+
+
+def test_heisenberg_matches_oracle_on_monomials():
+    for p in basis_monomials(10):
+        for n in range(-6, 7):
+            assert heisenberg(n, p) == _heisenberg_oracle(n, p), (n, p)
 
 
 # -- Virasoro modes ---------------------------------------------------------------
@@ -118,6 +155,12 @@ _fock_vectors = st.dictionaries(
 @given(m=st.integers(-6, 6), p=_fock_vectors)
 def test_virasoro_matches_heisenberg_oracle_on_mixed_vectors(m, p):
     assert virasoro(m, p) == _virasoro_oracle(m, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-6, 6), p=_fock_vectors)
+def test_heisenberg_matches_oracle_on_mixed_vectors(n, p):
+    assert heisenberg(n, p) == _heisenberg_oracle(n, p)
 
 
 def test_lowest_weight_half():
