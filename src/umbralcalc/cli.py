@@ -11,12 +11,14 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import registry
-from .dsl import EvalError, ExprSyntaxError, evaluate
+from .dsl import MAX_LITERAL_DIGITS, EvalError, ExprSyntaxError, check_literal, evaluate
+from .dsl import int_digit_limit
 from .errors import (
     IndexOutOfRange,
     LiteralTooLong,
@@ -58,8 +60,11 @@ class _UsageError(Exception):
 
 
 def _parse_poly(text: str) -> UnivarPoly:
+    for run in re.finditer(r"\d[\d_]*", text):  # Fraction reads 1_000 as 1000
+        check_literal(len(run[0]) - run[0].count("_"), run.start())
     try:
-        return UnivarPoly([Fraction(part.strip()) for part in text.split(",")])
+        with int_digit_limit(MAX_LITERAL_DIGITS):
+            return UnivarPoly([Fraction(part.strip()) for part in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad polynomial {text!r}: {exc}") from exc
 
@@ -73,14 +78,11 @@ def _series_arg(expr: str, order: int) -> TruncatedSeries:
 
 def _texts(values: Sequence[Fraction]) -> list[str]:
     """Exact ``p/q`` strings, with Python's digit limit set to MAX_DIGITS."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        return [str(v) for v in values]
+        with int_digit_limit(MAX_DIGITS):
+            return [str(v) for v in values]
     except ValueError:
         raise ResultTooLarge(f"a result has more than {MAX_DIGITS} digits") from None
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _values_report(values: Sequence[Fraction], label: str, fmt: str) -> str:

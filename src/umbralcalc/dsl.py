@@ -18,6 +18,7 @@ subexpression.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +38,25 @@ FUNCTIONS = ("exp", "log", "inv", "rev")
 # Longest integer literal read, in decimal digits (Python's default int-from-str
 # limit); a longer one raises LiteralTooLong.
 MAX_LITERAL_DIGITS = 4_300
+
+
+def check_literal(digits: int, offset: int) -> None:
+    """Refuse an integer literal of more than ``MAX_LITERAL_DIGITS`` digits."""
+    if digits > MAX_LITERAL_DIGITS:
+        msg = f"a {digits}-digit literal at offset {offset} exceeds {MAX_LITERAL_DIGITS} digits"
+        raise LiteralTooLong(msg)
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """Python's int/str conversion limit at ``digits`` inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 _DOMAIN_ERRORS = (
     ZeroConstantTerm,
@@ -134,10 +154,7 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            if j - i > MAX_LITERAL_DIGITS:
-                raise LiteralTooLong(
-                    f"a {j - i}-digit literal at offset {i} exceeds {MAX_LITERAL_DIGITS} digits"
-                )
+            check_literal(j - i, i)
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue
@@ -269,12 +286,8 @@ def _respan(node, span):
 def parse(text: str):
     """Parse a series expression into its syntax tree, reading literals up to
     ``MAX_LITERAL_DIGITS`` digits whatever the process's int-from-str limit."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_LITERAL_DIGITS)
-    try:
+    with int_digit_limit(MAX_LITERAL_DIGITS):
         return _Parser(text).parse()
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -14,9 +14,9 @@ compositional inverse of ``B``; only this direct convention is used.
 All of them read one integer table: with ``d`` the lcm of the denominators of
 ``B``, :func:`power_table` holds ``d^k [w^m] B(w)^k`` as Python ints (``N^3/6``
 multiply-adds at order ``N``, in its own loop rather than the series kernels).
-``B_n``, the umbral operator and the shifts are integer dot products against
-it (``N^2/2``), the basis expansion is a triangular solve over one common
-denominator (``N^2/2``), and each builds one ``Fraction`` per output coefficient.
+``composed_expansion``, ``B_n``, the umbral operator and all shifts read it
+through one :func:`attached_sum` (``N^2/2``), so ``functional_shift`` costs what
+``umbral_shift`` does; the basis expansion is a triangular solve (``N^2/2``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from operator import mul
 
 from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
-from .polyring import MultiPoly, _require_delta, derivation_powers, specialize_x, specialize_y
-from .polyring import to_univar
+from .polyring import _require_delta
 from .series import TruncatedSeries, _scaled, exp_t, shift_multiplier
 from .univar import UnivarPoly
 
@@ -84,25 +83,16 @@ def power_table(b: TruncatedSeries, order: int) -> tuple[list[list[int]], int]:
 
 
 def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> GenSeries:
-    """The ``w``-expansion of ``A(x * B(w))`` with UnivarPoly coefficients.
-
-    Substitutes ``t -> x * B(w)`` into ``A(t)`` using ordinary coefficients;
-    the coefficient of ``w^m`` only involves powers ``B(w)^k`` with ``k <= m``
-    because ``B`` is delta.
-    """
+    """The ``w``-expansion of ``A(x * B(w))`` with UnivarPoly coefficients; the
+    coefficient of ``w^m`` is ``P_m / m!`` in the notation of :func:`attached_sum`."""
     _require_delta(b)
     if b.order < order or a.order < order:
         raise OrderTooSmall(
             f"need both series to order {order}; have {a.order} and {b.order}"
         )
-    rows, d = power_table(b, order)
-    scales = [(c.numerator, c.denominator * d**k) for k, c in enumerate(a.coeffs[: order + 1])]
-    return GenSeries(
-        [
-            UnivarPoly([Fraction(n * r, den) for (n, den), r in zip(scales, column[: m + 1])])
-            for m, column in enumerate(zip(*rows))
-        ]
-    )
+    table = power_table(b, order)
+    units = ([_ZERO] * m + [Fraction(1, math.factorial(m))] for m in range(order + 1))
+    return GenSeries([attached_sum(table, ws, a) for ws in units])
 
 
 def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
@@ -110,14 +100,22 @@ def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
     return composed_expansion(exp_t(order), b, order)
 
 
-def attached_sum(table: tuple, weights: list[Fraction]) -> UnivarPoly:
-    """``sum_n weights[n] B_n(x)`` over a :func:`power_table`, whose entries give
-    ``[x^k] B_n = n!/k! rows[k][n] / d^k``."""
+def attached_sum(
+    table: tuple, weights: list[Fraction], a: TruncatedSeries | None = None
+) -> UnivarPoly:
+    """``sum_n weights[n] P_n(x)`` over a :func:`power_table`, with
+    ``P_n = n! [w^n] A(x B(w))``: integer dot products scaled by ``a_k / d^k``,
+    one ``Fraction`` per coefficient.  ``A`` defaults to ``e^t``, giving ``B_n``."""
     rows, d = table
     ws, den = _scaled(weights)
     ws = [w * math.factorial(n) for n, w in enumerate(ws)]
-    ds = [den * math.factorial(k) * d**k for k in range(len(ws))]
-    return UnivarPoly([Fraction(sum(map(mul, ws[k:], rows[k][k:])), s) for k, s in enumerate(ds)])
+    ks = range(len(ws))
+    if a is None:
+        scales = [(1, den * math.factorial(k) * d**k) for k in ks]
+    else:
+        scales = [(c.numerator, den * c.denominator * d**k) for k, c in zip(ks, a.coeffs)]
+    dots = (sum(map(mul, ws[k:], rows[k][k:])) for k in ks)
+    return UnivarPoly([Fraction(c * v, s) for (c, s), v in zip(scales, dots)])
 
 
 def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
@@ -171,11 +169,8 @@ def functional_shift(
     a: TruncatedSeries, b: TruncatedSeries, p: UnivarPoly
 ) -> UnivarPoly:
     """The shift steered by a functional ``A``: maps the basis polynomial
-    ``B_n(x)`` to the image of ``D^(n+1) y_0`` under both substitutions.
-
-    Choosing ``A = e^t`` collapses every ``y``-coefficient to 1 and recovers
-    the plain umbral shift.
-    """
+    ``B_n(x)`` to the image of ``D^(n+1) y_0`` under both substitutions, which
+    by FDBU is ``(n+1)! [w^(n+1)] A(x B(w))``; ``A = e^t`` gives the umbral shift."""
     if not p:
         return UnivarPoly.zero()
     d = p.degree
@@ -183,14 +178,8 @@ def functional_shift(
         raise OrderTooSmall(
             f"need both series to order {d + 1}; have {a.order} and {b.order}"
         )
-    coords = attached_basis_expansion(b, p)
-    powers = derivation_powers(MultiPoly.y(0), d + 1)
-    out = UnivarPoly.zero()
-    for n, c in enumerate(coords):
-        if c:
-            image = to_univar(specialize_y(specialize_x(powers[n + 1], b), a))
-            out = out + c * image
-    return out
+    table = power_table(b, d + 1)
+    return attached_sum(table, [_ZERO] + basis_coordinates(table, p), a)
 
 
 def apply_series_in_ddx(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:

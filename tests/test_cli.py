@@ -198,6 +198,19 @@ def test_long_literal_under_a_lowered_int_limit(capsys):
     assert (code, out, err) == (0, "7" * 1000 + "\n", "")
 
 
+def test_long_polynomial_coefficient_under_a_lowered_int_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "pair", "--A", "1+t", "--p", "7" * 1000)
+        too_long = run(capsys, "theta", "--B", "t", "--p", f"1/3,{'7' * 5000}")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, "7" * 1000 + "\n", "")
+    assert too_long == (2, "", "error: a 5000-digit literal at offset 4 exceeds 4300 digits\n")
+
+
 def test_bad_polynomial_is_usage_error(capsys):
     code, _, err = run(capsys, "theta", "--B", "t", "--p", "1,zebra")
     assert code == 2

@@ -95,6 +95,11 @@ def _table_off_at_w4(fn):
     return mutant
 
 
+def _sum_off_at_x3(fn):
+    """``[x^3]`` of every attached sum is off by one."""
+    return lambda *args: UnivarPoly(_bump(fn(*args).coeffs, 3))
+
+
 def _patch_derivation_step(mp):
     """The integer ``D`` step is off by one on every term of ``x``-degree 3."""
     step = polyring._derive
@@ -157,6 +162,10 @@ MUTANTS = {
     "composed_expansion": (
         lambda mp: _patch_everywhere(mp, umbral, "composed_expansion", _composed_off_at_w4),
         ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
+    ),
+    "attached_sum": (
+        lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _sum_off_at_x3),
+        ("FDBU", "ADJ-SUBST", "ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
     ),
     "derivation step": (_patch_derivation_step, ("AUTOMORPHISM", "FDBU", "ADJNEW")),
     "specialize_x": (

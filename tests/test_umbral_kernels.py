@@ -4,7 +4,8 @@ Each oracle below is the earlier ``Fraction``-arithmetic implementation,
 copied verbatim except for its name (and the names of the oracles it calls):
 the power table ``composed_expansion`` and every umbral operation that reads
 it, the derivation ``D`` with its powers and exponential, and the two
-substitutions.
+substitutions.  ``functional_shift_oracle`` is the earlier derivation-ring
+route of the functional shift, which now reads the power table instead.
 The kernels must agree with them exactly, ``Fraction`` for ``Fraction``, and
 must raise the same exception type with the same message on every input
 outside their domain.
@@ -32,12 +33,14 @@ from umbralcalc.polyring import (
     shift_exps,
     specialize_x,
     specialize_y,
+    to_univar,
 )
 from umbralcalc.series import TruncatedSeries, exp_t
 from umbralcalc.umbral import (
     attached_basis_expansion,
     attached_polynomial,
     composed_expansion,
+    functional_shift,
     umbral_operator,
     umbral_shift,
 )
@@ -154,6 +157,32 @@ def umbral_shift_oracle(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     for n, c in enumerate(coords):
         if c:
             out = out + gs.coeff(n + 1) * (c * Fraction(math.factorial(n + 1)))
+    return out
+
+
+def functional_shift_oracle(
+    a: TruncatedSeries, b: TruncatedSeries, p: UnivarPoly
+) -> UnivarPoly:
+    """The shift steered by a functional ``A``: maps the basis polynomial
+    ``B_n(x)`` to the image of ``D^(n+1) y_0`` under both substitutions.
+
+    Choosing ``A = e^t`` collapses every ``y``-coefficient to 1 and recovers
+    the plain umbral shift.
+    """
+    if not p:
+        return UnivarPoly.zero()
+    d = p.degree
+    if b.order < d + 1 or a.order < d + 1:
+        raise OrderTooSmall(
+            f"need both series to order {d + 1}; have {a.order} and {b.order}"
+        )
+    coords = attached_basis_expansion_oracle(b, p)
+    powers = derivation_powers_oracle(MultiPoly.y(0), d + 1)
+    out = UnivarPoly.zero()
+    for n, c in enumerate(coords):
+        if c:
+            image = to_univar(specialize_y_oracle(specialize_x_oracle(powers[n + 1], b), a))
+            out = out + c * image
     return out
 
 
@@ -393,6 +422,30 @@ def test_umbral_shift_matches_fraction_loop(b, p):
 @given(substitutions, st.integers(-2, 5), univar)
 def test_mode_shift_matches_fraction_loop(b, m, p):
     same(mode_shift, mode_shift_oracle, b, m, p)
+
+
+small_univar = st.integers(0, 10).flatmap(
+    lambda n: st.lists(coefficients, min_size=n + 1, max_size=n + 1)
+).map(UnivarPoly)
+# zero A, A = e^t, and random A (sparse, short, or longer than deg(p) + 1)
+functionals = st.one_of(
+    series(),
+    series(),
+    st.integers(0, 17).map(lambda n: TruncatedSeries([0] * (n + 1))),
+    st.integers(0, 17).map(exp_t),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functionals, substitutions, small_univar)
+def test_functional_shift_matches_derivation_ring(a, b, p):
+    same(functional_shift, functional_shift_oracle, a, b, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(min_order=11), deltas(11), small_univar)
+def test_functional_shift_matches_derivation_ring_in_range(a, b, p):
+    same(functional_shift, functional_shift_oracle, a, b, p)
 
 
 # plain x turns up now and then, so the UnsupportedVariable path is exercised
