@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     LiteralTooLong,
     NotDeltaSeries,
+    OrderTooLarge,
     OrderTooSmall,
     ResultTooLarge,
     UnknownIdentityTag,
@@ -47,6 +48,14 @@ polynomial arguments: comma-separated rationals, low degree first (e.g. 0,1,3/2)
 # default is 4,300); printing costs time quadratic in the length.
 MAX_DIGITS = 100_000
 
+# Largest truncation order a command accepts: ``--order`` is refused before
+# any work, and a series order that ``--n``, ``--m`` or the degree of ``--p``
+# implies before the series is built.  Past order 28 the cost grows
+# steeply: ``verify --id ALL`` takes about 2.5 minutes of CPU at order 40 (FAA
+# and ADJNEW about 1 minute each), and ``bell`` needs seconds at order 100 and
+# over a minute at order 150.
+MAX_ORDER = 40
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -62,6 +71,13 @@ class _UsageError(Exception):
 def _parse_poly(text: str) -> UnivarPoly:
     for run in re.finditer(r"\d[\d_]*", text):  # Fraction reads 1_000 as 1000
         check_literal(len(run[0]) - run[0].count("_"), run.start())
+    for exp in re.finditer(r"[eE][-+]?(\d[\d_]*)", text):  # 1e5 is 100000 to Fraction
+        digits = exp[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) >= MAX_DIGITS:
+            raise ResultTooLarge(
+                f"the decimal exponent at offset {exp.start()} makes a number "
+                f"of more than {MAX_DIGITS} digits"
+            )
     try:
         with int_digit_limit(MAX_LITERAL_DIGITS):
             return UnivarPoly([Fraction(part.strip()) for part in text.split(",")])
@@ -70,6 +86,8 @@ def _parse_poly(text: str) -> UnivarPoly:
 
 
 def _series_arg(expr: str, order: int) -> TruncatedSeries:
+    if order > MAX_ORDER:  # set by --n, --m or the degree of --p
+        raise OrderTooLarge(f"series order {order} exceeds the ceiling MAX_ORDER = {MAX_ORDER}")
     try:
         return evaluate(expr, order)
     except (ExprSyntaxError, EvalError) as exc:
@@ -205,6 +223,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if opts.order is not None and opts.order < 0:
             raise _UsageError("--order must be nonnegative")
+        if opts.order is not None and opts.order > MAX_ORDER:
+            raise OrderTooLarge(f"--order {opts.order} exceeds the ceiling MAX_ORDER = {MAX_ORDER}")
         if opts.command == "bell":
             text = _values_report(registry.bell_egf(opts.order), "bell", opts.format)
         elif opts.command == "umbral-seq":
@@ -248,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise _UsageError(f"unknown command {opts.command!r}")
     except (
         UnknownIdentityTag, NotDeltaSeries, OrderTooSmall, IndexOutOfRange, ResultTooLarge,
-        LiteralTooLong,
+        LiteralTooLong, OrderTooLarge,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

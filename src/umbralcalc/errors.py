@@ -25,6 +25,10 @@ class OrderTooSmall(ValueError):
     """A series does not carry enough coefficients for the requested operation."""
 
 
+class OrderTooLarge(ValueError):
+    """A truncation order above the command line's ceiling was requested."""
+
+
 class UnsupportedVariable(ValueError):
     """A polynomial contains a variable outside the operation's domain."""
 

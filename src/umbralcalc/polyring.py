@@ -14,14 +14,22 @@ specialize the generic symbols to the coefficients of concrete series.
 It also hosts the Fock space ``y*C[x_1, x_2, ...]`` of :mod:`virasoro`.
 
 This is the only module that knows the monomial-key layout; other modules
-go through :func:`shift_exps`, :func:`accumulate`, :func:`fock_key` and
-:func:`fock_terms`.  Coefficients are ``Fraction`` values; floats are refused.
+go through :func:`shift_exps`, :func:`accumulate`, :func:`fock_key`,
+:func:`fock_nums` and :func:`fock_terms`.
 
-``D`` has integer coefficients, so its powers and exponential clear the
-input's denominators once, apply one integer step per level (one pass over the
-terms) and divide once per output term, by ``k!`` too for ``e^(wD)``.
-:func:`specialize_x` reads each EGF value once and sums integer numerators per
-output key over ``d^degree``; :func:`specialize_y` reads each value once.
+A :class:`MultiPoly` stores one canonical pair, as FLINT's ``fmpq_poly``
+does: integer numerators ``nums = {key: int}`` over one denominator ``den``,
+with ``den > 0``, ``gcd(den, *nums) = 1`` and no zero numerator.  Equal
+values have equal pairs, so ``==`` and ``hash`` compare the pair.  ``+``,
+``-``, scalar ``*`` and the product run on ints and end in one gcd pass;
+``terms`` is a computed ``{key: Fraction}`` view for reading, not for hot
+paths.  Floats are refused.
+
+``D`` has integer coefficients, so its powers and exponential apply one
+integer step per level to the stored numerators and put each level over
+``den`` (times ``k!`` for ``e^(wD)``).  :func:`specialize_x` and
+:func:`specialize_y` clear the substituted values' denominators once and sum
+integer numerators per output key over one common denominator.
 """
 
 from __future__ import annotations
@@ -40,8 +48,6 @@ Scalar = Union[int, Fraction]
 # Lowest permitted y-index; anti-derivative identities need y_-1, the margin
 # below that is headroom, not silent truncation.
 Y_INDEX_FLOOR = -4
-
-_ZERO = Fraction(0)
 
 # A monomial key is (ys, xs, px): sorted ((index, exp), ...) tuples for the
 # y- and x-families plus the exponent of the plain x.
@@ -65,11 +71,12 @@ def shift_exps(exps: tuple, *deltas: tuple) -> tuple:
 
 
 def accumulate(acc: dict, pairs) -> dict:
-    """Add each ``(key, value)`` into ``acc``, deleting keys whose sum is zero."""
+    """Add each ``(key, value)`` into ``acc``; no key is left holding zero."""
     for k, v in pairs:
         prev = acc.get(k)
         if prev is None:
-            acc[k] = v
+            if v:
+                acc[k] = v
         elif s := prev + v:
             acc[k] = s
         else:
@@ -86,14 +93,15 @@ def fock_key(xs: tuple) -> tuple:
     return ((), xs, 0)
 
 
-def fock_terms(p: "MultiPoly") -> list:
-    """The ``(xs, coeff)`` pairs of a vector of ``y*C[x_1, x_2, ...]``.
+def fock_nums(p: "MultiPoly") -> list:
+    """The ``(xs, numerator)`` pairs of a vector of ``y*C[x_1, x_2, ...]``,
+    all over ``p.den``.
 
     Raises :class:`UnsupportedVariable` unless every monomial lies in the
     ``x_j`` family alone.
     """
     out = []
-    for (ys, xs, px), c in p.terms.items():
+    for (ys, xs, px), c in p.nums.items():
         if ys or px:
             raise UnsupportedVariable(
                 "Fock vectors are polynomials in the x_j family only"
@@ -102,14 +110,38 @@ def fock_terms(p: "MultiPoly") -> list:
     return out
 
 
-class MultiPoly:
-    """Finitely supported rational combination of monomials."""
+def fock_terms(p: "MultiPoly") -> list:
+    """The ``(xs, coeff)`` pairs of a Fock vector, with ``Fraction`` values."""
+    return [(xs, Fraction(c, p.den)) for xs, c in fock_nums(p)]
 
-    __slots__ = ("terms",)
+
+class MultiPoly:
+    """Finitely supported rational combination of monomials, stored as
+    integer numerators ``nums`` over one denominator ``den``."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: Optional[Mapping] = None):
         kv = (terms or {}).items()
-        self.terms = {k: q for k, v in kv if (q := v if type(v) is Fraction else as_rational(v))}
+        qs = {k: q for k, v in kv if (q := v if type(v) is Fraction else as_rational(v))}
+        # lowest-terms values over the lcm of their denominators are coprime to it
+        self.den = math.lcm(*[q.denominator for q in qs.values()])
+        self.nums = {k: q.numerator * (self.den // q.denominator) for k, q in qs.items()}
+
+    @classmethod
+    def from_pair(cls, nums: dict, den: int) -> "MultiPoly":
+        """``sum nums[key] * key / den`` for a ``{key: int}`` map without zeros
+        and ``den > 0``; one gcd pass makes the pair canonical.  ``nums`` is
+        taken over, not copied."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        out = object.__new__(cls)
+        out.nums = nums
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -119,7 +151,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({_EMPTY_KEY: Fraction(1)})
+        return cls.from_pair({_EMPTY_KEY: 1}, 1)
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
@@ -130,35 +162,44 @@ class MultiPoly:
         limit = Y_INDEX_FLOOR if floor is None else floor
         if i < limit:
             raise IndexOutOfRange(f"y-index {i} below floor {limit}")
-        return cls({(((i, 1),), (), 0): Fraction(1)})
+        return cls.from_pair({(((i, 1),), (), 0): 1}, 1)
 
     @classmethod
     def x(cls, j: int) -> "MultiPoly":
         if j < 1:
             raise IndexOutOfRange(f"x-index must be >= 1, got {j}")
-        return cls({fock_key(((j, 1),)): Fraction(1)})
+        return cls.from_pair({fock_key(((j, 1),)): 1}, 1)
 
     @classmethod
     def plain_x(cls) -> "MultiPoly":
-        return cls({((), (), 1): Fraction(1)})
+        return cls.from_pair({((), (), 1): 1}, 1)
 
     # -- structure queries -------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The ``{key: Fraction}`` view of the pair, as a fresh dict."""
+        return {k: Fraction(v, self.den) for k, v in self.nums.items()}
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return (
+            isinstance(other, MultiPoly)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     @property
     def uses_plain_x(self) -> bool:
-        return any(k[2] for k in self.terms)
+        return any(k[2] for k in self.nums)
 
     def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, _ZERO)
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -172,22 +213,29 @@ class MultiPoly:
             return MultiPoly.const(other)
         return None
 
+    def _plus(self, rhs: "MultiPoly", sign: int) -> "MultiPoly":
+        """``self + sign * rhs`` over the lcm of the two denominators."""
+        den = math.lcm(self.den, rhs.den)
+        a, b = den // self.den, sign * (den // rhs.den)
+        acc = {k: v * a for k, v in self.nums.items()} if a != 1 else dict(self.nums)
+        return MultiPoly.from_pair(accumulate(acc, ((k, v * b) for k, v in rhs.nums.items())), den)
+
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return MultiPoly(accumulate(dict(self.terms), rhs.terms.items()))
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({k: -v for k, v in self.terms.items()})
+        return MultiPoly.from_pair({k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -197,15 +245,16 @@ class MultiPoly:
             q = Fraction(other)
             if not q:
                 return MultiPoly.zero()
-            return MultiPoly({k: v * q for k, v in self.terms.items()})
+            scaled = {k: v * q.numerator for k, v in self.nums.items()}
+            return MultiPoly.from_pair(scaled, self.den * q.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         products = (
             (_key_mul(k1, k2), v1 * v2)
-            for k1, v1 in self.terms.items()
-            for k2, v2 in other.terms.items()
+            for k1, v1 in self.nums.items()
+            for k2, v2 in other.nums.items()
         )
-        return MultiPoly(accumulate({}, products))
+        return MultiPoly.from_pair(accumulate({}, products), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -221,7 +270,7 @@ class MultiPoly:
         return f"MultiPoly({self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for (ys, xs, px), c in self.sorted_terms():
@@ -246,14 +295,13 @@ class MultiPoly:
 def to_univar(p: MultiPoly) -> UnivarPoly:
     """Read a polynomial in the plain variable ``x`` off a MultiPoly."""
     coeffs: dict = {}
-    for (ys, xs, px), c in p.terms.items():
+    for (ys, xs, px), c in p.nums.items():
         if ys or xs:
             raise UnsupportedVariable("not a polynomial in plain x alone")
-        coeffs[px] = coeffs.get(px, _ZERO) + c
+        coeffs[px] = c
     if not coeffs:
         return UnivarPoly.zero()
-    top = max(coeffs)
-    return UnivarPoly([coeffs.get(n, _ZERO) for n in range(top + 1)])
+    return UnivarPoly([Fraction(coeffs.get(n, 0), p.den) for n in range(max(coeffs) + 1)])
 
 
 # -- the derivation and its exponential -------------------------------------
@@ -284,16 +332,12 @@ def _derive(terms: dict) -> dict:
 
 
 def _powers(p: MultiPoly, count: int, divisor) -> list[MultiPoly]:
-    """``[D^k p / divisor(k) for k <= count]``: ``p = P / d`` with ``P`` integral,
-    one integer step of ``D`` per level and one division per output term."""
-    nums, d = _scaled(list(p.terms.values()))
-    levels = [dict(zip(p.terms, nums))]
+    """``[D^k p / divisor(k) for k <= count]``: one integer step of ``D`` per
+    level on the stored numerators, each level over ``p.den * divisor(k)``."""
+    levels = [p.nums]
     for _ in range(count):
         levels.append(_derive(levels[-1]))
-    return [
-        MultiPoly({key: Fraction(v, d * divisor(k)) for key, v in level.items()})
-        for k, level in enumerate(levels)
-    ]
+    return [MultiPoly.from_pair(level, p.den * divisor(k)) for k, level in enumerate(levels)]
 
 
 def derivation(p: MultiPoly) -> MultiPoly:
@@ -327,19 +371,12 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     _require_delta(b)
     if p.uses_plain_x:
         raise UnsupportedVariable("domain of the x-substitution has no plain x")
-    top = max((xs[-1][0] for _, xs, _ in p.terms if xs), default=0)
+    top = max((xs[-1][0] for _, xs, _ in p.nums if xs), default=0)
     if top > b.order:
-        j = next(j for _, xs, _ in p.terms for j, _ in xs if j > b.order)
+        j = next(j for _, xs, _ in p.nums for j, _ in xs if j > b.order)
         raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
     values, d = _scaled([b.egf(j) for j in range(top + 1)])
-    nums, den = _scaled(list(p.terms.values()))
-    pairs = []
-    for (ys, xs, _), c in zip(p.terms, nums):
-        for j, e in xs:
-            c *= values[j] ** e
-        pairs.append(((ys, (), sum(e for _, e in xs)), c))
-    acc = accumulate({}, pairs)
-    return MultiPoly({k: Fraction(v, den * d ** k[2]) for k, v in acc.items()})
+    return _substitute(p, 1, values, d)
 
 
 def specialize_y(
@@ -353,7 +390,7 @@ def specialize_y(
     """
     ext = extension or {}
     values: dict = {}
-    for ys, xs, _ in p.terms:
+    for ys, xs, _ in p.nums:
         if xs:
             raise UnsupportedVariable("domain of the y-substitution has no x_j")
         for i, _ in ys:
@@ -362,12 +399,25 @@ def specialize_y(
             if i > a.order:
                 raise OrderTooSmall(f"y-index {i} exceeds series order {a.order}")
             values[i] = a.egf(i) if i >= 0 else as_rational(ext.get(i, 0))
+    nums, d = _scaled(list(values.values()))
+    return _substitute(p, 0, dict(zip(values, nums)), d)
+
+
+def _substitute(p: MultiPoly, family: int, values, d: int) -> MultiPoly:
+    """Replace each ``y_i`` (``family`` 0) or each ``x_j`` (``family`` 1) by
+    ``values[index] / d``; an ``x_j`` of total degree ``e`` becomes ``x^e``.
+    Every term is put over ``p.den * d^top`` (``top`` the largest substituted
+    degree) before the integer sums."""
+    degrees = [sum(e for _, e in key[family]) for key in p.nums]
+    top = max(degrees, default=0)
+    scale = [d ** (top - k) for k in range(top + 1)]
     pairs = []
-    for (ys, _, px), c in p.terms.items():
-        for i, e in ys:
+    for (key, c), deg in zip(p.nums.items(), degrees):
+        for i, e in key[family]:
             c *= values[i] ** e
-        pairs.append((((), (), px), c))
-    return MultiPoly(accumulate({}, pairs))
+        image = (key[0], (), deg) if family else ((), (), key[2])
+        pairs.append((image, c * scale[deg]))
+    return MultiPoly.from_pair(accumulate({}, pairs), p.den * d**top)
 
 
 def specialize_fock(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
@@ -376,7 +426,7 @@ def specialize_fock(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     The implicit lowest-weight factor ``y`` goes to 1 and ``x_j`` goes to
     ``B_j * x``; input monomials may only involve the ``x_j`` family.
     """
-    fock_terms(p)
+    fock_nums(p)
     return specialize_x(p, b)
 
 

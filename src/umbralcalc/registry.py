@@ -262,10 +262,8 @@ def _check_bstar(order: int, seed: int) -> CheckResult:
 # -- the x = 1 identity chain --------------------------------------------------
 
 
-def _chain_leg(
-    y_index: int, functional: TruncatedSeries, subst: TruncatedSeries, order: int
-) -> GenSeries:
-    gs = exp_derivation(MultiPoly.y(y_index), order)
+def _chain_leg(gs: GenSeries, functional: TruncatedSeries, subst: TruncatedSeries) -> GenSeries:
+    """``e^(wD) y_i`` (given as ``gs``) under ``x_j -> B_j x`` and ``y_i -> A_i``."""
     return gs.map(lambda q: to_univar(specialize_y(specialize_x(q, subst), functional)))
 
 
@@ -277,6 +275,8 @@ def _check_adjnew(order: int, seed: int) -> CheckResult:
     rng = rng_for(seed, "ADJNEW")
     trials = 5
     t_series = TruncatedSeries.identity(order + 2)
+    # one expansion per y-index, shared by every trial; none is derived from another
+    y_m1, y_0, y_1 = (exp_derivation(MultiPoly.y(i), order) for i in (-1, 0, 1))
     for trial in range(trials):
         a = random_series(rng, order + 2)
         b = random_delta(rng, order + 2)
@@ -284,25 +284,25 @@ def _check_adjnew(order: int, seed: int) -> CheckResult:
         pairs = [
             (
                 "A'(B(w))",
-                _at_one(_chain_leg(1, a, b, order)),
-                _at_one(_chain_leg(0, a_prime, b, order)),
+                _at_one(_chain_leg(y_1, a, b)),
+                _at_one(_chain_leg(y_0, a_prime, b)),
             ),
             (
                 "A(B(w))B(w)",
-                _chain_leg(-1, a, b, order)
+                _chain_leg(y_m1, a, b)
                 .map(lambda p: p.derivative().evaluate(1))
                 .to_truncated(),
-                _at_one(_chain_leg(0, t_series * a, b, order)),
+                _at_one(_chain_leg(y_0, t_series * a, b)),
             ),
             (
                 "A(B(w))",
-                _at_one(_chain_leg(0, a, b, order)),
-                _at_one(_chain_leg(0, a.compose(b), t_series, order)),
+                _at_one(_chain_leg(y_0, a, b)),
+                _at_one(_chain_leg(y_0, a.compose(b), t_series)),
             ),
             (
                 "A'(B(w))B'(w)",
-                _at_one(_chain_leg(0, a, b, order)).derivative(),
-                _at_one(_chain_leg(0, shift_multiplier(b) * a_prime, b, order)),
+                _at_one(_chain_leg(y_0, a, b)).derivative(),
+                _at_one(_chain_leg(y_0, shift_multiplier(b) * a_prime, b)),
             ),
         ]
         for name, lhs, rhs in pairs:

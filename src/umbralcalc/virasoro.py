@@ -27,6 +27,15 @@ the normal-ordered form that :func:`virasoro` applies monomial by monomial:
 The first sum moves one quantum from ``x_k`` to ``x_(k-m)``, the second
 removes two and the third adds two; on a monomial only the ``k`` whose
 annihilated variable is present contribute.
+
+Vectors are :class:`MultiPoly` pairs, integer numerators over one
+denominator, and the modes work on the numerators.  ``h(n)`` keeps the
+denominator for ``n > 0`` and multiplies it by ``(-n-1)!`` for ``n < 0``.
+``L(m)`` reads an integer unit table: the image of each unit monomial
+``x^xs`` is built once per ``(m, xs)`` as numerators over one unit
+denominator (a divisor of 2 for ``m >= 0``), and :func:`virasoro` puts every
+monomial's unit over the lcm of their denominators, so one call sums ints
+only.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import IndexOutOfRange, NotHomogeneous
-from .polyring import MultiPoly, accumulate, fock_key, fock_terms, shift_exps
+from .polyring import MultiPoly, accumulate, fock_key, fock_nums, shift_exps
 from .series import TruncatedSeries, as_rational
 from .umbral import attached_sum, basis_coordinates, power_table
 from .univar import UnivarPoly
@@ -60,62 +69,72 @@ def lowest_weight_vector() -> FockPoly:
 
 def heisenberg(n: int, p: FockPoly) -> FockPoly:
     """Apply the mode ``h(n)``; distinct monomials have distinct images."""
-    terms = fock_terms(p)
+    terms = fock_nums(p)
     if n == 0:
         return p
     if n < 0:
-        scale = Fraction(1, math.factorial(-n - 1))
-        return MultiPoly({fock_key(shift_exps(xs, (-n, 1))): c * scale for xs, c in terms})
+        images = {fock_key(shift_exps(xs, (-n, 1))): c for xs, c in terms}
+        return MultiPoly.from_pair(images, p.den * math.factorial(-n - 1))
     scale = math.factorial(n)
     pairs = ((xs, c * e * scale) for xs, c in terms for j, e in xs if j == n)
-    return MultiPoly({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs})
+    return MultiPoly.from_pair({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs}, p.den)
 
 
 @lru_cache(maxsize=None)
 def _virasoro_unit(m: int, xs: tuple) -> tuple:
     """``L(m)`` of the unit monomial with exponent tuple ``xs``, as
-    ``((key, coeff), ...)`` pairs with distinct keys; every coefficient of the
-    normal-ordered form is positive, so none cancels."""
+    ``(((key, numerator), ...), den)`` with distinct keys; every coefficient of
+    the normal-ordered form is positive, so none cancels.
+
+    Each coefficient ``num / div`` is put over ``den = 2`` (``m >= 0``) or
+    ``den = 2 (k_max - m - 1)!`` (``m < 0``, ``k_max`` the largest index in
+    ``xs``), which every ``div`` below divides, and the pair is reduced once."""
+    fact = math.factorial
     if m == 0:
-        return ((fock_key(xs), _HALF + sum(j * e for j, e in xs)),)
+        return ((fock_key(xs), 1 + 2 * sum(j * e for j, e in xs)),), 2
+    den = 2 if m > 0 else 2 * fact(max((k for k, _ in xs), default=0) - m - 1)
     exps = dict(xs)
     pairs = []
 
-    def bump(coeff: Fraction, *delta: tuple) -> None:
-        pairs.append((fock_key(shift_exps(xs, *delta)), coeff))
+    def bump(num: int, div: int, *delta: tuple) -> None:
+        pairs.append((fock_key(shift_exps(xs, *delta)), den * num // div))
 
-    fact = math.factorial
     if m > 0:  # h(m)
         if exps.get(m):
-            bump(Fraction(fact(m) * exps[m]), (m, -1))
+            bump(fact(m) * exps[m], 1, (m, -1))
     else:
-        bump(Fraction(1, fact(-m - 1)), (-m, 1))
+        bump(1, fact(-m - 1), (-m, 1))
     for k, e in xs:  # h(m-k) h(k) with k > max(0, m): x_k -> x_(k-m)
         if k > m:
-            bump(Fraction(fact(k) * e, fact(k - m - 1)), (k, -1), (k - m, 1))
+            bump(fact(k) * e, fact(k - m - 1), (k, -1), (k - m, 1))
     for k, e in xs:  # (1/2) h(m-k) h(k) with 0 < k < m: remove x_k, x_(m-k)
         j = m - k
         if 0 < j:
             rest = e - 1 if j == k else exps.get(j, 0)
             if rest:
-                bump(Fraction(fact(k) * e * fact(j) * rest, 2), (k, -1), (j, -1))
+                bump(fact(k) * e * fact(j) * rest, 2, (k, -1), (j, -1))
     for a in range(1, -m):  # (1/2) h(m-k) h(k) with m < k < 0: add x_a, x_(-m-a)
         b = -m - a
-        bump(Fraction(1, 2 * fact(a - 1) * fact(b - 1)), (a, 1), (b, 1))
-    return tuple(accumulate({}, pairs).items())
+        bump(1, 2 * fact(a - 1) * fact(b - 1), (a, 1), (b, 1))
+    acc = accumulate({}, pairs)
+    g = math.gcd(den, *acc.values())
+    return tuple((key, v // g) for key, v in acc.items()), den // g
 
 
 def virasoro(m: int, p: FockPoly) -> FockPoly:
     """Apply the quadratic mode ``L(m)``; lowers weight by ``m``."""
+    units = [(c, _virasoro_unit(m, xs)) for xs, c in fock_nums(p)]
+    den = math.lcm(*[d for _, (_, d) in units])
     acc: dict = {}
-    for xs, c in fock_terms(p):
-        accumulate(acc, ((image, c * v) for image, v in _virasoro_unit(m, xs)))
-    return MultiPoly(acc)
+    for c, (pairs, d) in units:
+        s = c * (den // d)
+        accumulate(acc, ((image, s * v) for image, v in pairs))
+    return MultiPoly.from_pair(acc, p.den * den)
 
 
 def weight(p: FockPoly) -> Fraction:
     """The ``L(0)`` eigenvalue ``1/2 + sum j * e_j`` of a homogeneous vector."""
-    terms = fock_terms(p)
+    terms = fock_nums(p)
     if not terms:
         raise NotHomogeneous("the zero vector has no weight")
     weights = {_HALF + sum(j * e for j, e in xs) for xs, _ in terms}
@@ -128,11 +147,11 @@ def fock_derivation(p: FockPoly) -> FockPoly:
     """The derivation ``x_1 + sum_k x_(k+1) d/dx_k`` (the image of ``y`` ships
     along implicitly); must coincide with ``L(-1)``."""
     pairs = []
-    for xs, c in fock_terms(p):
+    for xs, c in fock_nums(p):
         pairs.append((fock_key(shift_exps(xs, (1, 1))), c))
         for j, e in xs:
             pairs.append((fock_key(shift_exps(xs, (j, -1), (j + 1, 1))), c * e))
-    return MultiPoly(accumulate({}, pairs))
+    return MultiPoly.from_pair(accumulate({}, pairs), p.den)
 
 
 def lowering_powers(n: int) -> list[FockPoly]:
@@ -159,7 +178,7 @@ def basis_monomials(max_degree: int) -> list[FockPoly]:
     for total in range(max_degree + 1):
         for part in _partitions(total, total):
             xs = shift_exps((), *((j, 1) for j in part))
-            out.append(MultiPoly({fock_key(xs): Fraction(1)}))
+            out.append(MultiPoly.from_pair({fock_key(xs): 1}, 1))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,45 @@ def test_long_polynomial_coefficient_under_a_lowered_int_limit(capsys):
         sys.set_int_max_str_digits(limit)
     assert (code, out, err) == (0, "7" * 1000 + "\n", "")
     assert too_long == (2, "", "error: a 5000-digit literal at offset 4 exceeds 4300 digits\n")
+
+
+def test_decimal_exponent_past_the_print_ceiling_is_refused_before_any_number(
+    capsys, monkeypatch
+):
+    def no_number(*args):
+        raise AssertionError("a number was built")
+
+    monkeypatch.setattr(cli, "Fraction", no_number)
+    start = time.process_time()
+    for exponent in ("300000", "-1_000_000", "3" * 4000):
+        code, out, err = run(capsys, "pair", "--A", "1", "--p", f"1,2e{exponent}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the decimal exponent at offset 3 makes a number "
+            f"of more than {cli.MAX_DIGITS} digits\n"
+        )
+    assert time.process_time() - start < 0.5  # building 10^300000 alone takes longer
+    monkeypatch.undo()
+    assert run(capsys, "pair", "--A", "1", "--p", "15e-4") == (0, "3/2000\n", "")
+
+
+def test_order_past_the_ceiling_exits_two_with_one_line(capsys):
+    assert cli.MAX_ORDER >= 28  # above the tests, the goldens and the benchmark
+    ceiling = f"exceeds the ceiling MAX_ORDER = {cli.MAX_ORDER}\n"
+    for argv in (
+        ("bell", "--order", "100000"),
+        ("verify", "--id", "ALL", "--order", str(cli.MAX_ORDER + 1)),
+        ("theta", "--B", "t", "--p", "1", "--order", "100000"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: --order {argv[-1]} {ceiling}")
+    for argv, order in (
+        (("umbral-seq", "--B", "t", "--n", "100000"), 100000),
+        (("shift", "--B", "t", "--m", "-100000", "--p", "1"), 100000),
+        (("theta", "--B", "t", "--p", "0," * 3000 + "1"), 3000),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: series order {order} {ceiling}")
+    argv = ("umbral-seq", "--B", "t", "--n", "2", "--order", str(cli.MAX_ORDER))
+    assert run(capsys, *argv) == (0, "0 0 1\n", "")
 
 
 def test_bad_polynomial_is_usage_error(capsys):

@@ -131,11 +131,11 @@ def _patch_virasoro_unit(mp):
     unit = virasoro._virasoro_unit
 
     def mutant(m, xs):
-        pairs = unit(m, xs)
+        pairs, den = unit(m, xs)
         if m != 3 or not pairs:
-            return pairs
-        (key, value), *rest = pairs
-        return ((key, value + 1), *rest)
+            return pairs, den
+        (key, num), *rest = pairs
+        return ((key, num + den), *rest), den  # numerators sit over den
 
     mp.setattr(virasoro, "_virasoro_unit", mutant)
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralcalc.errors import (
     IndexOutOfRange,
@@ -278,7 +280,10 @@ def test_derivation_powers_prefix():
         lambda: MultiPoly({((), (), 0): 0.0}),
         lambda: MultiPoly.const(0.5),
         lambda: Y(0) * 0.5,
+        lambda: 0.5 * Y(0),
         lambda: Y(0) + 0.5,
+        lambda: Y(0) - 0.5,
+        lambda: 0.5 - Y(0),
     ],
 )
 def test_multipoly_rejects_floats(build):
@@ -290,3 +295,73 @@ def test_multipoly_coefficients_are_fractions():
     p = MultiPoly({((), (), 0): 3, ((), ((1, 1),), 0): F(1, 2)})
     assert all(type(c) is Fraction for c in p.terms.values())
     assert MultiPoly.const(2).coefficient(((), (), 0)) == 2
+
+
+# -- the stored pair: integer numerators over one denominator ------------------------
+
+
+# keys over y_-1, y_0, y_2, x_1, x_3 and the plain x, up to degree 2 in each family
+_KEYS = [
+    (((i, a),) if a else (), ((j, b),) if b else (), px)
+    for i in (-1, 0, 2)
+    for a in (0, 1, 2)
+    for j in (1, 3)
+    for b in (0, 1, 2)
+    for px in (0, 1)
+]
+_polys = st.dictionaries(
+    st.sampled_from(_KEYS),
+    st.fractions(min_value=-50, max_value=50, max_denominator=24),
+    max_size=6,
+).map(MultiPoly)
+
+
+def _fraction_add(p, q):
+    """``p + q`` with one ``Fraction`` sum per key."""
+    return accumulate(dict(p.terms), q.terms.items())
+
+
+def _fraction_mul(p, q):
+    """``p * q`` with one ``Fraction`` product per pair of terms."""
+    products = (
+        ((shift_exps(k1[0], *k2[0]), shift_exps(k1[1], *k2[1]), k1[2] + k2[2]), v1 * v2)
+        for k1, v1 in p.terms.items()
+        for k2, v2 in q.terms.items()
+    )
+    return accumulate({}, products)
+
+
+def _canonical(p):
+    return p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1 and all(p.nums.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_polys, q=_polys, c=st.fractions(max_denominator=12))
+def test_integer_arithmetic_matches_the_fraction_oracle(p, q, c):
+    assert (p + q).terms == _fraction_add(p, q)
+    assert (p - q).terms == _fraction_add(p, -q)
+    assert (p * q).terms == _fraction_mul(p, q)
+    assert (p * c).terms == {k: v * c for k, v in p.terms.items() if v * c}
+    assert all(_canonical(r) for r in (p, q, p + q, p - q, p * q, p * c, -p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_polys, q=_polys)
+def test_equal_values_have_equal_pairs_and_hashes(p, q):
+    round_trip = (p + q) - q
+    assert round_trip == p
+    assert (round_trip.nums, round_trip.den) == (p.nums, p.den)
+    assert hash(round_trip) == hash(p)
+    assert MultiPoly(p.terms) == p
+    assert MultiPoly.from_pair({k: 6 * v for k, v in p.nums.items()}, 6 * p.den) == p
+    difference = p - p
+    assert (difference.nums, difference.den) == ({}, 1)
+
+
+def test_pair_is_reduced_and_terms_keep_their_values():
+    half = MultiPoly({((), (), 0): F(1, 2), ((), ((1, 1),), 0): F(3, 4)})
+    assert (half.nums, half.den) == ({((), (), 0): 2, ((), ((1, 1),), 0): 3}, 4)
+    doubled = half * 2
+    assert (doubled.nums, doubled.den) == ({((), (), 0): 2, ((), ((1, 1),), 0): 3}, 2)
+    assert doubled.terms == {((), (), 0): F(1), ((), ((1, 1),), 0): F(3, 2)}
+    assert (half + half) == doubled and (half - half) == MultiPoly.zero()

@@ -163,6 +163,79 @@ def test_heisenberg_matches_oracle_on_mixed_vectors(n, p):
     assert heisenberg(n, p) == _heisenberg_oracle(n, p)
 
 
+# -- the Fraction kernels the integer ones replaced, kept as oracles ---------------
+
+
+def _fraction_heisenberg(n, p):
+    """``h(n)`` with one ``Fraction`` per output term."""
+    terms = fock_terms(p)
+    if n == 0:
+        return p
+    if n < 0:
+        scale = Fraction(1, math.factorial(-n - 1))
+        return MultiPoly({fock_key(shift_exps(xs, (-n, 1))): c * scale for xs, c in terms})
+    scale = math.factorial(n)
+    pairs = ((xs, c * e * scale) for xs, c in terms for j, e in xs if j == n)
+    return MultiPoly({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs})
+
+
+def _fraction_unit(m, xs):
+    """``L(m)`` of the unit monomial ``xs`` as ``(key, Fraction)`` pairs."""
+    if m == 0:
+        return ((fock_key(xs), F(1, 2) + sum(j * e for j, e in xs)),)
+    exps = dict(xs)
+    pairs = []
+
+    def bump(coeff, *delta):
+        pairs.append((fock_key(shift_exps(xs, *delta)), coeff))
+
+    fact = math.factorial
+    if m > 0:
+        if exps.get(m):
+            bump(F(fact(m) * exps[m]), (m, -1))
+    else:
+        bump(F(1, fact(-m - 1)), (-m, 1))
+    for k, e in xs:
+        if k > m:
+            bump(F(fact(k) * e, fact(k - m - 1)), (k, -1), (k - m, 1))
+    for k, e in xs:
+        j = m - k
+        if 0 < j:
+            rest = e - 1 if j == k else exps.get(j, 0)
+            if rest:
+                bump(F(fact(k) * e * fact(j) * rest, 2), (k, -1), (j, -1))
+    for a in range(1, -m):
+        b = -m - a
+        bump(F(1, 2 * fact(a - 1) * fact(b - 1)), (a, 1), (b, 1))
+    return tuple(accumulate({}, pairs).items())
+
+
+def _fraction_virasoro(m, p):
+    """``L(m)`` summing ``Fraction`` unit images monomial by monomial."""
+    acc = {}
+    for xs, c in fock_terms(p):
+        accumulate(acc, ((image, c * v) for image, v in _fraction_unit(m, xs)))
+    return MultiPoly(acc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(-6, 6), p=_fock_vectors)
+def test_integer_modes_match_the_fraction_kernels(m, p):
+    for integer, oracle in ((virasoro, _fraction_virasoro), (heisenberg, _fraction_heisenberg)):
+        image = integer(m, p)
+        expect = oracle(m, p)
+        assert image == expect
+        assert image.terms == expect.terms
+        assert image.den > 0 and math.gcd(image.den, *image.nums.values()) == 1
+
+
+def test_integer_modes_match_the_fraction_kernels_on_monomials():
+    for p in basis_monomials(8):
+        for m in range(-6, 7):
+            assert virasoro(m, p) == _fraction_virasoro(m, p), (m, p)
+            assert heisenberg(m, p) == _fraction_heisenberg(m, p), (m, p)
+
+
 def test_lowest_weight_half():
     assert virasoro(0, Y_VEC) == F(1, 2) * Y_VEC
 
