@@ -56,6 +56,12 @@ MAX_DIGITS = 100_000
 # over a minute at order 150.
 MAX_ORDER = 40
 
+# Largest ``--max-m`` and ``--max-n`` of ``fmn-table``, refused before any
+# ladder value is computed.  Row m costs m + 1 row extensions per entry, so the
+# table grows as max_m^2 * max_n: 100 x 100 takes about 0.3 s of CPU, and
+# 1000 x 1000 ran past 10 s.
+MAX_TABLE = 100
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -242,6 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             b = _series_arg(opts.b_expr, order)
             text = _poly_report(mode_shift(b, opts.m, p), opts.format)
         elif opts.command == "fmn-table":
+            for flag, bound in (("--max-m", opts.max_m), ("--max-n", opts.max_n)):
+                if bound > MAX_TABLE:
+                    raise OrderTooLarge(f"{flag} {bound} exceeds the ceiling MAX_TABLE = {MAX_TABLE}")
             table = FTable(opts.max_m, opts.max_n)
             if opts.format == "json":
                 text = table.to_json()

@@ -1,20 +1,25 @@
 """Truncated univariate formal power series over the exact rationals.
 
-A :class:`TruncatedSeries` stores ordinary coefficients ``c_0 .. c_N`` for a
-fixed truncation order ``N`` and represents ``sum c_n t^n + O(t^(N+1))``.
-Exponential-generating-function (EGF) coefficients ``A_n = n! * c_n`` are a
-computed view, never stored.  Every operation is exact: coefficients are
-:class:`fractions.Fraction` values (only ``int`` and ``Fraction`` are
-accepted as input) and binary operations truncate to the smaller of the two
-operand orders, so no claimed coefficient is ever a guess.
+A :class:`TruncatedSeries` represents ``sum c_n t^n + O(t^(N+1))`` for a
+fixed truncation order ``N``.  It stores one canonical pair, as FLINT's
+``fmpq_poly`` does: integer numerators ``nums = (x_0, ..., x_N)`` over one
+denominator ``den``, so ``c_n = x_n / den``, with ``den > 0`` and
+``gcd(den, *nums) = 1``.  Equal values have equal pairs, so ``==`` and
+``hash`` compare the pair.  ``coeffs`` (the :class:`fractions.Fraction`
+values ``c_n``) and the EGF coefficients ``A_n = n! * c_n`` are computed
+views, never stored; ``coeff(n)`` reads one numerator.  Every operation is
+exact: only ``int`` and ``Fraction`` are accepted as input, and binary
+operations truncate to the smaller of the two operand orders, so no claimed
+coefficient is ever a guess.
 
-The dense operations run fraction-free: ``_scaled`` clears an operand's
-denominators with one lcm ``d`` (``c_n = x_n / d``, ``x`` integers), the work
-runs over Python ints, and one ``Fraction`` is built per output coefficient.
-Counted in big-integer multiply-adds at order ``N`` (whose integers grow
-linearly in bits with ``N``): ``*``, ``reciprocal``, ``exp_series`` and
-``log_series`` (recurrences) take ``N^2/2``, ``compose`` (Horner) ``N^3/6``
-and ``reversion`` (Lagrange inversion, baby-step giant-step powers) ``N^2.5``.
+Only the constructor from ``int``/``Fraction`` values clears denominators
+(``_scaled``, one lcm).  Every operation runs on the stored ints and ends in
+one gcd pass (:meth:`TruncatedSeries.from_pair`).  Counted in big-integer
+multiply-adds at order ``N`` (whose integers grow linearly in bits with
+``N``): ``+``, ``-``, scalar ``*`` and ``/``, ``derivative``, ``egf_shift``
+and ``truncate`` take ``N``; ``*``, ``reciprocal``, ``exp_series`` and
+``log_series`` (recurrences) ``N^2/2``; ``compose`` (Horner) ``N^3/6``; and
+``reversion`` (Lagrange inversion, baby-step giant-step powers) ``N^2.5``.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ def _scaled(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 def _iconv(xs: Sequence[int], ys: Sequence[int], order: int) -> list[int]:
     """Cauchy product of two integer vectors truncated to ``order``; ``ys``
     needs ``order + 1`` entries, ``xs`` may be shorter (missing ones are 0)."""
+    # slice lists, not stored tuples: CPython 3.11 keeps every freed 20-tuple
+    # on a free list it never pops, which grows with each product past t^19
+    xs, ys = list(xs), list(ys)
     return [sum(map(mul, xs[: m + 1], ys[m::-1])) for m in range(order + 1)]
 
 
@@ -73,18 +81,11 @@ def _iinverse(cs: Sequence[int], order: int) -> list[int]:
     return rs
 
 
-def _conv(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, truncated to ``order``."""
-    x, dx = _scaled(xs[: order + 1])
-    y, dy = _scaled(ys[: order + 1])
-    den = dx * dy
-    return [Fraction(v, den) for v in _iconv(x, y, order)]
-
-
 class TruncatedSeries:
-    """Formal power series known exactly up to a stated order."""
+    """Formal power series known exactly up to a stated order, stored as
+    integer numerators ``nums`` over one denominator ``den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar], order: Optional[int] = None):
         cs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
@@ -95,7 +96,24 @@ class TruncatedSeries:
             cs += [_ZERO] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # lowest-terms values over the lcm of their denominators are coprime to it
+        nums, self.den = _scaled(cs)
+        self.nums: tuple[int, ...] = tuple(nums)
+
+    @classmethod
+    def from_pair(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series ``sum nums[n] t^n / den`` for ``den != 0``; one gcd pass
+        makes the pair canonical."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        out = object.__new__(cls)
+        out.nums = tuple(nums)
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -125,37 +143,49 @@ class TruncatedSeries:
     # -- basic views -------------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients ``c_0 .. c_N`` as a fresh tuple of ``Fraction`` values."""
+        den = self.den
+        # from a list, not a generator: a tuple() of unknown length is allocated
+        # at one size and freed at another, which grows CPython's tuple free lists
+        return tuple([Fraction(x, den) for x in self.nums])
 
-    def coeff(self, n: int) -> Fraction:
+    @property
+    def order(self) -> int:
+        return len(self.nums) - 1
+
+    def _num(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise OrderTooSmall(f"coefficient {n} of a series of order {self.order}")
-        return self.coeffs[n]
+        return self.nums[n]
+
+    def coeff(self, n: int) -> Fraction:
+        return Fraction(self._num(n), self.den)
 
     def egf(self, n: int) -> Fraction:
         """EGF coefficient ``A_n = n! * c_n``."""
-        return math.factorial(n) * self.coeff(n)
+        return Fraction(math.factorial(n) * self._num(n), self.den)
 
     def egf_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(math.factorial(n) * c for n, c in enumerate(self.coeffs))
+        den = self.den
+        return tuple([Fraction(math.factorial(n) * x, den) for n, x in enumerate(self.nums)])
 
     @property
     def is_delta(self) -> bool:
         """Zero constant term and nonzero linear term (compositionally invertible)."""
-        return self.order >= 1 and not self.coeffs[0] and bool(self.coeffs[1])
+        return self.order >= 1 and not self.nums[0] and bool(self.nums[1])
 
     @property
     def is_unit(self) -> bool:
         """Nonzero constant term (multiplicatively invertible)."""
-        return bool(self.coeffs[0])
+        return bool(self.nums[0])
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise OrderTooSmall(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries.from_pair(self.nums[: order + 1], self.den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -170,15 +200,18 @@ class TruncatedSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, rhs.coeffs)], order=n
+        # over lcm(dx, dy); zip stops at the smaller order
+        dx, dy = self.den, rhs.den
+        g = math.gcd(dx, dy)
+        fx, fy = dy // g, dx // g
+        return TruncatedSeries.from_pair(
+            [x * fx + y * fy for x, y in zip(self.nums, rhs.nums)], dx * fx
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries.from_pair([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -192,10 +225,14 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            return TruncatedSeries(_conv(self.coeffs, other.coeffs, n))
+            return TruncatedSeries.from_pair(
+                _iconv(self.nums, other.nums, n), self.den * other.den
+            )
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return TruncatedSeries([c * q for c in self.coeffs])
+            return TruncatedSeries.from_pair(
+                [x * q.numerator for x in self.nums], self.den * q.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -205,7 +242,11 @@ class TruncatedSeries:
             return self * other.reciprocal()
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return TruncatedSeries([c / q for c in self.coeffs])
+            if not q:
+                raise ZeroDivisionError("series divided by zero")
+            return TruncatedSeries.from_pair(
+                [x * q.denominator for x in self.nums], self.den * q.numerator
+            )
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -213,7 +254,7 @@ class TruncatedSeries:
             raise ValueError("series powers take nonnegative integer exponents")
         if n == 0:
             return TruncatedSeries.one(self.order)
-        low = next((k for k, c in enumerate(self.coeffs) if c), self.order + 1)
+        low = next((k for k, x in enumerate(self.nums) if x), self.order + 1)
         if low * n > self.order:  # t^low to the n-th is past the order
             return TruncatedSeries.zero(self.order)
         # binary powering: square the base once per bit of n
@@ -227,18 +268,22 @@ class TruncatedSeries:
             base = base * base
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def agrees(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality up to the shared truncation order."""
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        dx, dy = self.den, other.den
+        return all(x * dy == y * dx for x, y in zip(self.nums, other.nums))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
@@ -262,8 +307,8 @@ class TruncatedSeries:
     def derivative(self) -> "TruncatedSeries":
         if self.order < 1:
             raise OrderTooSmall("derivative of an order-0 series carries no data")
-        return TruncatedSeries(
-            [n * c for n, c in enumerate(self.coeffs)][1:]
+        return TruncatedSeries.from_pair(
+            [n * x for n, x in enumerate(self.nums)][1:], self.den
         )
 
     def egf_shift(
@@ -283,8 +328,10 @@ class TruncatedSeries:
                 raise OrderTooSmall(
                     f"EGF shift by {n} exceeds stored order {self.order}"
                 )
-            egf = self.egf_coeffs()
-            return TruncatedSeries.from_egf(egf[n:])
+            # c'_k = c_(k+n) (k+n)! / k!
+            return TruncatedSeries.from_pair(
+                [math.perm(k + n, n) * x for k, x in enumerate(self.nums[n:])], self.den
+            )
         ext = extension or {}
         values = [as_rational(ext.get(m, 0)) for m in range(n, 0)]
         values.extend(self.egf_coeffs())
@@ -294,11 +341,12 @@ class TruncatedSeries:
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """The series ``self(inner(t))``; the inner constant term must vanish."""
-        if inner.coeffs[0]:
+        if inner.nums[0]:
             raise InnerConstantTerm("inner series has nonzero constant term")
         n = min(self.order, inner.order)
-        a, da = _scaled(self.coeffs[: n + 1])
-        b, db = _scaled(inner.coeffs[: n + 1])
+        a, da = self.nums, self.den
+        low = inner.truncate(n)  # its den is the lcm of the used denominators
+        b, db = low.nums, low.den
         # Horner: acc_k = acc_(k+1) * b + a_k * db^(n-k), to degree n - k
         # (b^k starts at t^k), ends at acc_0 = da * db^n * self(inner)
         acc, scale = [a[n]], 1
@@ -306,39 +354,46 @@ class TruncatedSeries:
             scale *= db
             acc = _iconv(acc, b, n - k)
             acc[0] += a[k] * scale
-        return TruncatedSeries([Fraction(v, da * scale) for v in acc])
+        return TruncatedSeries.from_pair(acc, da * scale)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse: ``1/c = d / x`` with ``x`` the cleared ``c``."""
-        if not self.coeffs[0]:
+        """Multiplicative inverse: ``1/c = d / x``, so ``[t^k] 1/c = d R_k / x_0^(k+1)``
+        with ``R = _iinverse(x)``, all over ``x_0^(N+1)``."""
+        x, d = self.nums, self.den
+        if not x[0]:
             raise ZeroConstantTerm("no multiplicative inverse: constant term is 0")
-        x, d = _scaled(self.coeffs)
-        rs = _iinverse(x, self.order)
-        return TruncatedSeries([Fraction(d * r, x[0] ** (k + 1)) for k, r in enumerate(rs)])
+        n = self.order
+        rs = _iinverse(x, n)
+        return TruncatedSeries.from_pair(
+            [d * r * x[0] ** (n - k) for k, r in enumerate(rs)], x[0] ** (n + 1)
+        )
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse of a delta series, by Lagrange inversion.
 
         ``[t^k] rev(b) = (1/k) [t^(k-1)] h^k`` with ``h = t/b``; for
         ``b = t q / dq``, ``h_j = dq R_j / q_0^(j+1)`` with ``R = _iinverse(q)``.
+        The results are put over ``lcm(1..N) q_0^(2N-1)``.
         """
         if not self.is_delta:
             raise NotDeltaSeries("reversion requires a delta series")
         n = self.order
-        q, dq = _scaled(self.coeffs[1:])
+        q, dq = self.nums[1:], self.den
         rs = _iinverse(q, n - 1)
         # baby steps R^0..R^s, giant steps R^(js): [t^(k-1)] R^k is one dot product
         s = math.isqrt(n) + 1
         baby = [[1] + [0] * (n - 1)]
         for _ in range(s):
             baby.append(_iconv(baby[-1], rs, n - 1))
-        giant, out = baby[0], [_ZERO]
+        lcm, q0sq = math.lcm(*range(1, n + 1)), q[0] ** 2
+        giant, out = baby[0], [0]
         for k in range(1, n + 1):
             if not k % s:
                 giant = _iconv(giant, baby[s], n - 1)
             c = sum(map(mul, baby[k % s][:k], giant[k - 1 :: -1]))
-            out.append(Fraction(dq**k * c, k * q[0] ** (2 * k - 1)))
-        return TruncatedSeries(out)
+            # dq^k c / (k q_0^(2k-1)) over lcm q_0^(2n-1)
+            out.append(dq**k * c * (lcm // k) * q0sq ** (n - k))
+        return TruncatedSeries.from_pair(out, lcm * q[0] ** (2 * n - 1))
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -347,15 +402,17 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     ``n f_n = sum_k k a_k f_(n-k)`` keeps ``F_n = n! d^n f_n`` integral:
     ``F_n = sum_k C(n-1, k-1) k! x_k d^(k-1) F_(n-k)``.
     """
-    if a.coeffs[0]:
+    if a.nums[0]:
         raise NonzeroConstantTerm("exp needs a zero constant term")
     n = a.order
-    x, d = _scaled(a.coeffs)
+    x, d = a.nums, a.den
     vs = [math.factorial(k) * x[k] * d ** (k - 1) for k in range(1, n + 1)]
     fs = [1]
     for m in range(1, n + 1):
         fs.append(sum(math.comb(m - 1, k) * vs[k] * fs[m - 1 - k] for k in range(m)))
-    return TruncatedSeries([Fraction(f, math.factorial(m) * d**m) for m, f in enumerate(fs)])
+    # f_m = F_m / (m! d^m) over n! d^n
+    nums = [f * math.perm(n, n - m) * d ** (n - m) for m, f in enumerate(fs)]
+    return TruncatedSeries.from_pair(nums, math.factorial(n) * d**n)
 
 
 def log_series(c: TruncatedSeries) -> TruncatedSeries:
@@ -364,15 +421,18 @@ def log_series(c: TruncatedSeries) -> TruncatedSeries:
     ``c L' = c'`` keeps ``G_n = n d^n L_n`` integral (``x_0 = d``):
     ``G_n = n w_n - sum_(0<j<n) w_j G_(n-j)`` with ``w_j = x_j d^(j-1)``.
     """
-    if c.coeffs[0] != 1:
+    if c.nums[0] != c.den:
         raise ConstantTermNotOne("log needs constant term 1")
     n = c.order
-    x, d = _scaled(c.coeffs)
+    x, d = c.nums, c.den
     ws = [x[j] * d ** (j - 1) for j in range(1, n + 1)]
     gs = [0]
     for m in range(1, n + 1):
         gs.append(m * ws[m - 1] - sum(map(mul, ws[: m - 1], gs[:0:-1])))
-    return TruncatedSeries([_ZERO] + [Fraction(g, m * d**m) for m, g in enumerate(gs[1:], 1)])
+    # L_m = G_m / (m d^m) over lcm(1..n) d^n
+    lcm = math.lcm(*range(1, n + 1))
+    nums = [g * (lcm // m) * d ** (n - m) for m, g in enumerate(gs[1:], 1)]
+    return TruncatedSeries.from_pair([0] + nums, lcm * d**n)
 
 
 def shift_multiplier(b: TruncatedSeries) -> TruncatedSeries:
@@ -389,4 +449,5 @@ def shift_multiplier(b: TruncatedSeries) -> TruncatedSeries:
 
 def exp_t(order: int) -> TruncatedSeries:
     """The exponential series ``e^t`` (all EGF coefficients 1)."""
-    return TruncatedSeries([_ONE / math.factorial(n) for n in range(order + 1)])
+    top = math.factorial(order)
+    return TruncatedSeries.from_pair([top // math.factorial(n) for n in range(order + 1)], top)

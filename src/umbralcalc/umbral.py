@@ -11,12 +11,15 @@ and the umbral shift ``B_n -> B_(n+1)``.  A note on indexing: the sequence
 attached to ``B`` here is the one classical treatments associate to the
 compositional inverse of ``B``; only this direct convention is used.
 
-All of them read one integer table: with ``d`` the lcm of the denominators of
-``B``, :func:`power_table` holds ``d^k [w^m] B(w)^k`` as Python ints (``N^3/6``
-multiply-adds at order ``N``, in its own loop rather than the series kernels).
-``composed_expansion``, ``B_n``, the umbral operator and all shifts read it
-through one :func:`attached_sum` (``N^2/2``), so ``functional_shift`` costs what
-``umbral_shift`` does; the basis expansion is a triangular solve (``N^2/2``).
+All of them read one integer table: with ``d`` the stored denominator of
+``B`` (the lcm of its coefficients' denominators), :func:`power_table` holds
+``d^k [w^m] B(w)^k`` as Python ints (``N^3/6`` multiply-adds at order ``N``, in
+its own loop rather than the series kernels).  ``composed_expansion``,
+``B_n``, the umbral operator and all shifts read it through one
+:func:`attached_sum` (``N^2/2``; a unit weight reads one column, so
+``composed_expansion`` reads each column once), so ``functional_shift`` costs
+what ``umbral_shift`` does; the basis expansion is a triangular solve
+(``N^2/2``).
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def power_table(b: TruncatedSeries, order: int) -> tuple[list[list[int]], int]:
     if b.order < order:
         raise OrderTooSmall(f"need series order {order}, have {b.order}")
     _require_delta(b)
-    xs, d = _scaled(b.coeffs[: order + 1])
+    low = b.truncate(order)  # its den is the lcm of the used denominators
+    xs, d = low.nums, low.den
     rows = [[1] + [0] * order]
     for k in range(1, order + 1):
         prev = rows[-1]
@@ -104,18 +108,24 @@ def attached_sum(
     table: tuple, weights: list[Fraction], a: TruncatedSeries | None = None
 ) -> UnivarPoly:
     """``sum_n weights[n] P_n(x)`` over a :func:`power_table`, with
-    ``P_n = n! [w^n] A(x B(w))``: integer dot products scaled by ``a_k / d^k``,
-    one ``Fraction`` per coefficient.  ``A`` defaults to ``e^t``, giving ``B_n``."""
+    ``P_n = n! [w^n] A(x B(w))``: integer dot products from the first nonzero
+    weight on (so a unit weight reads one table column), scaled by
+    ``a_k / d^k`` from ``A``'s stored pair, one ``Fraction`` per coefficient.
+    ``A`` defaults to ``e^t``, giving ``B_n``."""
     rows, d = table
     ws, den = _scaled(weights)
     ws = [w * math.factorial(n) for n, w in enumerate(ws)]
-    ks = range(len(ws))
-    if a is None:
-        scales = [(1, den * math.factorial(k) * d**k) for k in ks]
-    else:
-        scales = [(c.numerator, den * c.denominator * d**k) for k, c in zip(ks, a.coeffs)]
-    dots = (sum(map(mul, ws[k:], rows[k][k:])) for k in ks)
-    return UnivarPoly([Fraction(c * v, s) for (c, s), v in zip(scales, dots)])
+    low = next((n for n, w in enumerate(ws) if w), len(ws))
+    out, scale = [], den
+    for k in range(len(ws)):
+        j = max(k, low)
+        dot = sum(map(mul, ws[j:], rows[k][j:]))
+        if a is None:
+            out.append(Fraction(dot, scale * math.factorial(k)))
+        else:
+            out.append(Fraction(a.nums[k] * dot, scale * a.den))
+        scale *= d
+    return UnivarPoly(out)
 
 
 def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
@@ -190,9 +200,9 @@ def apply_series_in_ddx(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
         )
     out = UnivarPoly.zero()
     q = p
-    for j in range(p.degree + 1):
-        if f.coeffs[j]:
-            out = out + f.coeffs[j] * q
+    for c in f.coeffs[: p.degree + 1]:
+        if c:
+            out = out + c * q
         q = q.derivative()
     return out
 

@@ -123,7 +123,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "order, seed", [(6, 0), (10, 0), (14, 0), (6, 7), (10, 7), (14, 7)]
+    "order, seed", [(6, 0), (10, 0), (14, 0), (6, 7), (10, 7), (14, 7), (20, 0)]
 )
 def test_verify_report_matches_golden(capsys, order, seed):
     code, out, _ = run(
@@ -249,6 +249,24 @@ def test_order_past_the_ceiling_exits_two_with_one_line(capsys):
         assert run(capsys, *argv) == (2, "", f"error: series order {order} {ceiling}")
     argv = ("umbral-seq", "--B", "t", "--n", "2", "--order", str(cli.MAX_ORDER))
     assert run(capsys, *argv) == (0, "0 0 1\n", "")
+
+
+def test_table_past_the_ceiling_exits_two_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "FTable", no_table)
+    ceiling = f"exceeds the ceiling MAX_TABLE = {cli.MAX_TABLE}\n"
+    for argv, flag, bound in (
+        (("--max-m", "1000", "--max-n", "1000"), "--max-m", "1000"),
+        (("--max-m", str(cli.MAX_TABLE + 1)), "--max-m", str(cli.MAX_TABLE + 1)),
+        (("--max-n", "10000000"), "--max-n", "10000000"),
+    ):
+        assert run(capsys, "fmn-table", *argv) == (2, "", f"error: {flag} {bound} {ceiling}")
+    monkeypatch.undo()
+    code, out, err = run(capsys, "fmn-table", "--max-m", "1", "--max-n", str(cli.MAX_TABLE))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split()[-1] == str(cli.MAX_TABLE**2)  # f_1(n) = n^2
 
 
 def test_bad_polynomial_is_usage_error(capsys):

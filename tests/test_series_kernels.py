@@ -4,15 +4,19 @@ Each oracle below is the earlier ``Fraction``-arithmetic implementation,
 copied verbatim except that it takes and returns coefficient lists instead
 of ``TruncatedSeries`` (``self.coeffs`` became a parameter, and the
 order-by-order reversion calls the composition oracle).  The kernels must
-agree with them exactly, ``Fraction`` for ``Fraction``.
+agree with them exactly, ``Fraction`` for ``Fraction``.  The elementwise
+oracles (``+``, ``-``, scalar ``*`` and ``/``, ``derivative``, ``egf_shift``,
+``truncate``) are the bodies the stored integer pair replaced; the pair itself
+must stay canonical: ``den > 0`` and ``gcd(den, *nums) = 1``.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.series import TruncatedSeries, exp_series, log_series
+from umbralcalc.series import TruncatedSeries, as_rational, exp_series, log_series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,6 +110,55 @@ def log_oracle(coeffs):
     return out
 
 
+def add_oracle(xs, ys):
+    n = min(len(xs), len(ys)) - 1
+    return TruncatedSeries([a + b for a, b in zip(xs, ys)], order=n).coeffs
+
+
+def neg_oracle(xs):
+    return [-c for c in xs]
+
+
+def sub_oracle(xs, ys):
+    return add_oracle(xs, neg_oracle(ys))
+
+
+def scale_oracle(xs, other):
+    q = Fraction(other)
+    return [c * q for c in xs]
+
+
+def divide_oracle(xs, other):
+    q = Fraction(other)
+    return [c / q for c in xs]
+
+
+def derivative_oracle(xs):
+    return [n * c for n, c in enumerate(xs)][1:]
+
+
+def egf_coeffs_oracle(xs):
+    return tuple(math.factorial(n) * c for n, c in enumerate(xs))
+
+
+def from_egf_oracle(values):
+    return [as_rational(v) / math.factorial(n) for n, v in enumerate(values)]
+
+
+def egf_shift_oracle(xs, n, extension=None):
+    if n >= 0:
+        egf = egf_coeffs_oracle(xs)
+        return from_egf_oracle(egf[n:])
+    ext = extension or {}
+    values = [as_rational(ext.get(m, 0)) for m in range(n, 0)]
+    values.extend(egf_coeffs_oracle(xs))
+    return from_egf_oracle(values)
+
+
+def truncate_oracle(xs, order):
+    return xs[: order + 1]
+
+
 # -- operands ----------------------------------------------------------------------
 
 # zero (sparse series), small, large denominators, and very large numerators
@@ -129,9 +182,20 @@ def with_head(head, lists):
     return st.tuples(head, lists).map(lambda p: list(p[0]) + p[1][len(p[0]):])
 
 
+def canonical(series):
+    assert series.den > 0
+    assert math.gcd(series.den, *series.nums) == 1
+    assert all(type(x) is int for x in series.nums)
+
+
 def exact(series, oracle):
+    canonical(series)
     assert all(type(c) is Fraction for c in series.coeffs)
     assert series.coeffs == tuple(oracle)
+    # the same value built from Fractions has the same pair and hash
+    rebuilt = TruncatedSeries(oracle)
+    assert (rebuilt.nums, rebuilt.den) == (series.nums, series.den)
+    assert rebuilt == series and hash(rebuilt) == hash(series)
 
 
 # -- cross-checks --------------------------------------------------------------------
@@ -173,6 +237,89 @@ def test_exp_matches_power_sum(cs):
 @given(with_head(st.just([_ONE]), coeff_lists()))
 def test_log_matches_power_sum(cs):
     exact(log_series(TruncatedSeries(cs)), log_oracle(cs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists(), coeff_lists())
+def test_add_sub_neg_match_fraction_loops(xs, ys):
+    a, b = TruncatedSeries(xs), TruncatedSeries(ys)
+    exact(a + b, add_oracle(xs, ys))
+    exact(a - b, sub_oracle(xs, ys))
+    exact(-a, neg_oracle(xs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists(), st.one_of(coefficients, st.integers(-(10**30), 10**30)))
+def test_scalar_mul_div_match_fraction_loops(xs, q):
+    a = TruncatedSeries(xs)
+    exact(a * q, scale_oracle(xs, q))
+    exact(q * a, scale_oracle(xs, q))
+    exact(a + q, add_oracle(xs, [Fraction(q)] + [_ZERO] * (len(xs) - 1)))
+    if q:
+        exact(a / q, divide_oracle(xs, q))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / q
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists(min_order=1), st.data())
+def test_derivative_egf_shift_truncate_match_fraction_loops(xs, data):
+    a, n = TruncatedSeries(xs), len(xs) - 1
+    exact(a.derivative(), derivative_oracle(xs))
+    shift = data.draw(st.integers(-3, n))
+    ext = data.draw(st.dictionaries(st.integers(-3, -1), coefficients, max_size=3))
+    exact(a.egf_shift(shift, ext), egf_shift_oracle(xs, shift, ext))
+    top = data.draw(st.integers(0, n))
+    exact(a.truncate(top), truncate_oracle(xs, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists())
+def test_pair_is_canonical_and_zero_is_zero_over_one(xs):
+    a = TruncatedSeries(xs)
+    canonical(a)
+    zero = a - a
+    assert zero.nums == (0,) * len(xs) and zero.den == 1
+    assert zero == TruncatedSeries.zero(len(xs) - 1) and not zero
+    assert (a * 0).den == 1 and not a * 0
+    assert bool(a) == any(xs)
+
+
+def test_equal_values_have_equal_pairs_and_hashes():
+    half = TruncatedSeries([Fraction(1, 2), Fraction(1, 4)])
+    via_ops = TruncatedSeries([1, Fraction(1, 2)]) * Fraction(1, 2)
+    via_sum = TruncatedSeries([Fraction(1, 6), Fraction(1, 12)]) * 3
+    assert (half.nums, half.den) == ((2, 1), 4)
+    for other in (via_ops, via_sum, TruncatedSeries([Fraction(2, 4), Fraction(3, 12)])):
+        assert (other.nums, other.den) == (half.nums, half.den)
+        assert other == half and hash(other) == hash(half)
+    assert len({half, via_ops, via_sum}) == 1
+    assert (-half).nums == (-2, -1) and (-half).den == 4
+    assert ((half / -2).nums, (half / -2).den) == ((-2, -1), 8)
+    assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])  # orders differ
+
+
+def test_division_by_zero_and_floats_still_raise():
+    a = TruncatedSeries([1, Fraction(1, 3)])
+    for zero in (0, Fraction(0), False):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 0.5])
+    for op in (lambda: a * 0.5, lambda: 0.5 * a, lambda: a + 0.5, lambda: a - 0.5,
+               lambda: 0.5 - a, lambda: a / 0.5):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_coeffs_is_a_read_only_fraction_view():
+    a = TruncatedSeries([Fraction(1, 2), 3, 0])
+    assert a.coeffs == (Fraction(1, 2), Fraction(3), _ZERO)
+    assert all(type(c) is Fraction for c in a.coeffs)
+    assert a.coeff(1) == 3 and a.egf(1) == 3 and a.egf_coeffs() == a.coeffs
+    with pytest.raises(AttributeError):
+        a.coeffs = (1,)
 
 
 def test_kernels_at_order_zero():
