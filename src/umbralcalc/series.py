@@ -181,6 +181,8 @@ class TruncatedSeries:
         return bool(self.nums[0])
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if order > self.order:
             raise OrderTooSmall(f"cannot extend order {self.order} to {order}")
         if order == self.order:

@@ -272,6 +272,8 @@ def test_derivative_egf_shift_truncate_match_fraction_loops(xs, data):
     exact(a.egf_shift(shift, ext), egf_shift_oracle(xs, shift, ext))
     top = data.draw(st.integers(0, n))
     exact(a.truncate(top), truncate_oracle(xs, top))
+    with pytest.raises(ValueError):
+        a.truncate(-1)  # an empty slice: the parent's constructor refused it too
 
 
 @settings(max_examples=100, deadline=None)
