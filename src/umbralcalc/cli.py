@@ -266,11 +266,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = _scalar_report(pairing(a, p), "pairing", opts.format)
         elif opts.command == "verify":
             if opts.tag == "ALL":
+                if opts.order < registry.MIN_ALL_ORDER:
+                    need = f"--order >= {registry.MIN_ALL_ORDER}, got {opts.order}"
+                    raise OrderTooSmall(f"verify --id ALL needs {need}")
                 results = registry.run_all(order=opts.order, seed=opts.seed)
             else:
                 results = [
                     registry.run_check(opts.tag, order=opts.order, seed=opts.seed)
                 ]
+            args = f"--order {opts.order} --seed {opts.seed}"
+            for r in results:  # stdout stays the report
+                if not r.passed:
+                    sys.stderr.write(f"repro: umbralcalc verify --id {r.tag} {args}\n")
             text = _verify_report(results, opts.order, opts.seed, opts.format)
             code = 0 if all(r.passed for r in results) else 1
         else:

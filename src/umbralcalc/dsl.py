@@ -29,6 +29,7 @@ from .errors import (
     NonzeroConstantTerm,
     NotDeltaSeries,
     OrderTooSmall,
+    ResultTooLarge,
     ZeroConstantTerm,
 )
 from .series import TruncatedSeries, exp_series, log_series
@@ -38,6 +39,11 @@ FUNCTIONS = ("exp", "log", "inv", "rev")
 # Longest integer literal read, in decimal digits (Python's default int-from-str
 # limit); a longer one raises LiteralTooLong.
 MAX_LITERAL_DIGITS = 4_300
+
+# Largest power evaluated, in bits (see _power_bits), refused before any
+# multiplication: three times the 332,193 bits (100,000 digits) a report prints,
+# as a power may still be divided down.  2^1000000000 would build 125 MB.
+MAX_POWER_BITS = 1_000_000
 
 
 def check_literal(digits: int, offset: int) -> None:
@@ -293,6 +299,20 @@ def parse(text: str):
 # -- evaluation --------------------------------------------------------------
 
 
+def _power_bits(base: TruncatedSeries, n: int) -> int:
+    """About the most bits of a number ``base ** n`` builds: ``n log2`` of the
+    lowest nonzero numerator or the denominator, plus ``log2`` of the largest
+    numerator and of ``n + N`` for each of the order ``N`` later terms.  A power
+    past the order is zero, so ``t^10000000`` and ``(1+t)^10000000`` are cheap."""
+    nums = base.nums
+    low = next((k for k, x in enumerate(nums) if x), len(nums))
+    if n == 0 or low * n > base.order:
+        return 0
+    lead = max((abs(nums[low]) - 1).bit_length(), (base.den - 1).bit_length())  # ceil(log2)
+    top = max(x.bit_length() for x in nums)
+    return n * lead + base.order * (top + (n + base.order).bit_length())
+
+
 def eval_expr(node, order: int) -> TruncatedSeries:
     """Evaluate a parsed expression to an exact series of the given order."""
     try:
@@ -313,7 +333,11 @@ def eval_expr(node, order: int) -> TruncatedSeries:
                 return lhs * rhs
             return lhs / rhs
         if isinstance(node, Power):
-            return eval_expr(node.base, order) ** node.exponent
+            base = eval_expr(node.base, order)
+            if _power_bits(base, node.exponent) > MAX_POWER_BITS:
+                msg = f"the power at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits"
+                raise ResultTooLarge(msg)
+            return base ** node.exponent
         if isinstance(node, Call):
             arg = eval_expr(node.arg, order)
             if node.func == "exp":

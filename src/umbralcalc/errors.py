@@ -42,7 +42,7 @@ class NotHomogeneous(ValueError):
 
 
 class ResultTooLarge(ValueError):
-    """A result has a number too long to print exactly."""
+    """A result has a number too long to compute or print exactly."""
 
 
 class LiteralTooLong(ValueError):

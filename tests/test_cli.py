@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from umbralcalc import cli
-from umbralcalc.registry import CheckResult
+from umbralcalc.dsl import MAX_POWER_BITS
+from umbralcalc.registry import MIN_ALL_ORDER, CheckResult
+from umbralcalc.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -96,9 +98,52 @@ def test_verify_unknown_tag(capsys):
 def test_verify_reports_failure(capsys, monkeypatch):
     fake = CheckResult("F-CLOSED", False, "t^3: 1 != 2")
     monkeypatch.setattr(cli.registry, "run_check", lambda *a, **k: fake)
-    code, out, _ = run(capsys, "verify", "--id", "F-CLOSED")
+    code, out, err = run(capsys, "verify", "--id", "F-CLOSED")
     assert code == 1
     assert "FAIL F-CLOSED: t^3: 1 != 2" in out
+    # the repro line goes to stderr; stdout is the report alone, in every format
+    assert out == cli._verify_report([fake], 10, 0, "text")
+    assert err == "repro: umbralcalc verify --id F-CLOSED --order 10 --seed 0\n"
+    for fmt in ("json", "csv"):
+        argv = ("verify", "--id", "F-CLOSED", "--order", "12", "--seed", "7", "--format", fmt)
+        assert run(capsys, *argv) == (
+            1,
+            cli._verify_report([fake], 12, 7, fmt),
+            "repro: umbralcalc verify --id F-CLOSED --order 12 --seed 7\n",
+        )
+
+
+def test_verify_all_reports_one_repro_line_per_failure(capsys, monkeypatch):
+    results = [
+        CheckResult("FAA", False, "trial 3: w^2, t^1: 1 != 2"),
+        CheckResult("BELL", True, "fine"),
+        CheckResult("UMBVIR", False, "trial 0, n=0: x^1: 2 != 1"),
+    ]
+    monkeypatch.setattr(cli.registry, "run_all", lambda *a, **k: results)
+    code, out, err = run(capsys, "verify", "--order", "6", "--seed", "2")
+    assert (code, out) == (1, cli._verify_report(results, 6, 2, "text"))
+    assert err == (
+        "repro: umbralcalc verify --id FAA --order 6 --seed 2\n"
+        "repro: umbralcalc verify --id UMBVIR --order 6 --seed 2\n"
+    )
+
+
+def test_verify_all_below_its_minimum_order_runs_no_check(capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.registry, "run_all", no_checks)
+    assert MIN_ALL_ORDER == 5
+    for order in range(MIN_ALL_ORDER):
+        assert run(capsys, "verify", "--id", "ALL", "--order", str(order)) == (
+            2,
+            "",
+            f"error: verify --id ALL needs --order >= 5, got {order}\n",
+        )
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "--order", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "passed 23/23 (order=5, seed=0)"
 
 
 def test_verify_json_shape(capsys):
@@ -172,6 +217,27 @@ def test_huge_coefficients_print_exactly(capsys):
     assert code == 0
     assert json.loads(out) == {"pairing": _decimal(2**20000)}
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_power_past_the_bit_ceiling_is_refused_before_any_multiplication(
+    capsys, monkeypatch
+):
+    def no_power(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(TruncatedSeries, "__pow__", no_power)
+    ceiling = f"exceeds {MAX_POWER_BITS} bits\n"
+    for expr, offset in (("2^1000000000", 0), ("1 + (1+t/3)^500001", 4), ("t*2^10000000000", 2)):
+        code, out, err = run(capsys, "pair", "--A", expr, "--p", "0,1")
+        assert (code, out, err) == (2, "", f"error: the power at offset {offset} {ceiling}")
+    monkeypatch.undo()
+    # the bound grows with the exponent times the bits of the lowest term and
+    # of the denominator; a power past the order is zero and always allowed
+    assert run(capsys, "pair", "--A", "(2^1000)^990", "--p", "0,1") == (0, "0\n", "")
+    assert run(capsys, "pair", "--A", "(2^1000)^1000", "--p", "0,1")[0] == 2
+    assert run(capsys, "pair", "--A", "(1+t/3)^400000", "--p", "0,1") == (0, "400000/3\n", "")
+    assert run(capsys, "pair", "--A", "(t/3)^10000000", "--p", "0,1") == (0, "0\n", "")
+    assert run(capsys, "pair", "--A", "(1-t/2)^40", "--p", "0,1") == (0, "-20\n", "")
 
 
 def test_coefficient_past_the_digit_ceiling_is_usage_error(capsys):

@@ -3,10 +3,15 @@
 Every check passes on working code, so its mismatch messages never show in
 a normal run.  These tests feed the first-mismatch reporter unequal operands
 of each type, and break one side of several checks, to pin the exact text a
-failing check prints.
+failing check prints.  The reporter compares series by cross-multiplying their
+integer numerators; the ``Fraction`` loop it replaced is kept below as an
+oracle.
 """
 
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralcalc import registry
 from umbralcalc.genseries import GenSeries
@@ -67,6 +72,67 @@ def test_gen_series_mismatch_nests_the_series_variable():
     a = GenSeries([S([1]), S([1, 2, 3])])
     b = GenSeries([S([1]), S([1, 2, 5])])
     assert registry._mismatch(a, b) == "w^1, t^2: 3 != 5"
+
+
+# -- the series reporter against the Fraction loop it replaced -------------------
+
+
+def series_mismatch_oracle(a, b):
+    """The earlier ``Fraction`` series branch of ``_mismatch``, verbatim."""
+    var, top = "t", min(a.order, b.order)
+    for k in range(top + 1):
+        if a.coeff(k) != b.coeff(k):
+            return f"{var}^{k}: {a.coeff(k)} != {b.coeff(k)}"
+    return None
+
+
+# zero, small, and numerators near 10^40 that differ in their last digits
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
+    st.builds(lambda d, q: F(10**40 + d, q), st.integers(-3, 3), st.integers(1, 3)),
+)
+nonzero = coefficients.filter(bool)
+coeff_lists = st.lists(coefficients, min_size=1, max_size=13)
+
+
+@st.composite
+def series_pairs(draw):
+    """Unrelated series, a copy with one coefficient moved (and more terms),
+    or one value reached by two routes; both orders of each pair."""
+    xs = draw(coeff_lists)
+    kind = draw(st.sampled_from(("unrelated", "moved", "rerouted")))
+    if kind == "unrelated":
+        a, b = S(xs), S(draw(coeff_lists))
+    elif kind == "moved":
+        ys = xs + draw(st.lists(coefficients, max_size=3))
+        ys[draw(st.integers(0, len(ys) - 1))] += draw(nonzero)
+        a, b = S(xs), S(ys)
+    else:
+        c, other = draw(nonzero), S(draw(st.lists(coefficients, min_size=len(xs))))
+        a, b = S(xs), (S(xs) * c + other - other) / c
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_series_mismatch_matches_the_fraction_loop(pair):
+    a, b = pair
+    assert registry._mismatch(a, b) == series_mismatch_oracle(a, b)
+
+
+def test_expect_fails_with_the_prefixed_first_mismatch():
+    registry._expect(S([1, 2]), S([1, 2, 3]))  # equal up to the shorter order
+    registry._expect(Y(0) * 2, Y(0) + Y(0))
+    with pytest.raises(registry._Failed) as failed:
+        registry._expect(S([1, 2, 3]), S([1, F(4, 2), 5]), "trial 4: ")
+    assert str(failed.value) == "trial 4: t^2: 3 != 5"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_all_equals_each_check_run_alone(seed):
+    assert registry.run_all(6, seed) == [registry.run_check(t, 6, seed) for t in registry.TAGS]
 
 
 # -- failing checks, with one side broken ----------------------------------------
