@@ -40,9 +40,10 @@ FUNCTIONS = ("exp", "log", "inv", "rev")
 # limit); a longer one raises LiteralTooLong.
 MAX_LITERAL_DIGITS = 4_300
 
-# Largest power evaluated, in bits (see _power_bits), refused before any
-# multiplication: three times the 332,193 bits (100,000 digits) a report prints,
-# as a power may still be divided down.  2^1000000000 would build 125 MB.
+# Largest number built, in bits: a power is refused before any multiplication
+# (see _power_bits), and every node's result once it is built.  Three times the
+# 332,193 bits (100,000 digits) a report prints, as a result may still be
+# divided down.  2^1000000000 would build 125 MB.
 MAX_POWER_BITS = 1_000_000
 
 
@@ -314,44 +315,52 @@ def _power_bits(base: TruncatedSeries, n: int) -> int:
 
 
 def eval_expr(node, order: int) -> TruncatedSeries:
-    """Evaluate a parsed expression to an exact series of the given order."""
+    """Evaluate a parsed expression to an exact series of the given order.  A
+    node whose result holds a number of more than ``MAX_POWER_BITS`` bits is
+    refused, so a chain of allowed powers stops at its first product."""
     try:
         if isinstance(node, Literal):
-            return TruncatedSeries.constant(node.value, order)
-        if isinstance(node, Var):
-            return TruncatedSeries.identity(order)
-        if isinstance(node, Neg):
-            return -eval_expr(node.arg, order)
-        if isinstance(node, BinOp):
+            out = TruncatedSeries.constant(node.value, order)
+        elif isinstance(node, Var):
+            out = TruncatedSeries.identity(order)
+        elif isinstance(node, Neg):
+            out = -eval_expr(node.arg, order)
+        elif isinstance(node, BinOp):
             lhs = eval_expr(node.left, order)
             rhs = eval_expr(node.right, order)
             if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            return lhs / rhs
-        if isinstance(node, Power):
+                out = lhs + rhs
+            elif node.op == "-":
+                out = lhs - rhs
+            elif node.op == "*":
+                out = lhs * rhs
+            else:
+                out = lhs / rhs
+        elif isinstance(node, Power):
             base = eval_expr(node.base, order)
             if _power_bits(base, node.exponent) > MAX_POWER_BITS:
                 msg = f"the power at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits"
                 raise ResultTooLarge(msg)
-            return base ** node.exponent
-        if isinstance(node, Call):
+            out = base ** node.exponent
+        elif isinstance(node, Call):
             arg = eval_expr(node.arg, order)
             if node.func == "exp":
-                return exp_series(arg)
-            if node.func == "log":
-                return log_series(arg)
-            if node.func == "inv":
-                return arg.reciprocal()
-            return arg.reversion()
-        raise TypeError(f"not an expression node: {node!r}")
+                out = exp_series(arg)
+            elif node.func == "log":
+                out = log_series(arg)
+            elif node.func == "inv":
+                out = arg.reciprocal()
+            else:
+                out = arg.reversion()
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
     except EvalError:
         raise
     except _DOMAIN_ERRORS as exc:
         raise EvalError(str(exc), node.span) from exc
+    if max(out.den.bit_length(), *map(int.bit_length, out.nums)) > MAX_POWER_BITS:
+        raise ResultTooLarge(f"the result at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits")
+    return out
 
 
 def evaluate(text: str, order: int) -> TruncatedSeries:

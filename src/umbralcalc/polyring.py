@@ -299,9 +299,8 @@ def to_univar(p: MultiPoly) -> UnivarPoly:
         if ys or xs:
             raise UnsupportedVariable("not a polynomial in plain x alone")
         coeffs[px] = c
-    if not coeffs:
-        return UnivarPoly.zero()
-    return UnivarPoly([Fraction(coeffs.get(n, 0), p.den) for n in range(max(coeffs) + 1)])
+    top = max(coeffs, default=-1)
+    return UnivarPoly.from_pair([coeffs.get(n, 0) for n in range(top + 1)], p.den)
 
 
 # -- the derivation and its exponential -------------------------------------

@@ -81,11 +81,66 @@ def _iinverse(cs: Sequence[int], order: int) -> list[int]:
     return rs
 
 
-class TruncatedSeries:
+class _Pair:
+    """The canonical pair of a series and a ``UnivarPoly``; ``==`` compares
+    exact types, so a series never equals a polynomial with the same pair."""
+
+    __slots__ = ("nums", "den")
+
+    @classmethod
+    def from_pair(cls, nums: Sequence[int], den: int):
+        """Values ``nums[n] / den``, ``den != 0``; one gcd pass makes the pair canonical."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        out = object.__new__(cls)
+        out.nums = tuple(nums)
+        out.den = den
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as a fresh tuple of ``Fraction`` values."""
+        den = self.den
+        # from a list, not a generator: a tuple() of unknown length is allocated
+        # at one size and freed at another, which grows CPython's tuple free lists
+        return tuple([Fraction(x, den) for x in self.nums])
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+    def _terms(self, var: str) -> str:
+        """The nonzero terms ``c*var^n`` joined by `` + ``, or ``0``."""
+        parts = []
+        for n, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if n == 0:
+                parts.append(str(c))
+            elif n == 1:
+                parts.append(var if c == 1 else f"{c}*{var}")
+            else:
+                parts.append(f"{var}^{n}" if c == 1 else f"{c}*{var}^{n}")
+        return " + ".join(parts) if parts else "0"
+
+
+class TruncatedSeries(_Pair):
     """Formal power series known exactly up to a stated order, stored as
     integer numerators ``nums`` over one denominator ``den``."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar], order: Optional[int] = None):
         cs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
@@ -99,21 +154,6 @@ class TruncatedSeries:
         # lowest-terms values over the lcm of their denominators are coprime to it
         nums, self.den = _scaled(cs)
         self.nums: tuple[int, ...] = tuple(nums)
-
-    @classmethod
-    def from_pair(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
-        """The series ``sum nums[n] t^n / den`` for ``den != 0``; one gcd pass
-        makes the pair canonical."""
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [x // g for x in nums]
-            den //= g
-        out = object.__new__(cls)
-        out.nums = tuple(nums)
-        out.den = den
-        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -141,14 +181,6 @@ class TruncatedSeries:
         return cls(cs, order=order)
 
     # -- basic views -------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients ``c_0 .. c_N`` as a fresh tuple of ``Fraction`` values."""
-        den = self.den
-        # from a list, not a generator: a tuple() of unknown length is allocated
-        # at one size and freed at another, which grows CPython's tuple free lists
-        return tuple([Fraction(x, den) for x in self.nums])
 
     @property
     def order(self) -> int:
@@ -269,40 +301,13 @@ class TruncatedSeries:
                 return out
             base = base * base
 
-    def __bool__(self) -> bool:
-        return any(self.nums)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
     def agrees(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality up to the shared truncation order."""
         dx, dy = self.den, other.den
         return all(x * dy == y * dx for x, y in zip(self.nums, other.nums))
 
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
     def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            elif n == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{n}" if c == 1 else f"{c}*t^{n}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.order + 1})"
+        return f"{self._terms('t')} + O(t^{self.order + 1})"
 
     # -- calculus ----------------------------------------------------------
 

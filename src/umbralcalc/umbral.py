@@ -13,13 +13,13 @@ compositional inverse of ``B``; only this direct convention is used.
 
 All of them read one integer table: with ``d`` the stored denominator of
 ``B`` (the lcm of its coefficients' denominators), :func:`power_table` holds
-``d^k [w^m] B(w)^k`` as Python ints (``N^3/6`` multiply-adds at order ``N``, in
-its own loop rather than the series kernels).  ``composed_expansion``,
-``B_n``, the umbral operator and all shifts read it through one
-:func:`attached_sum` (``N^2/2``; a unit weight reads one column, so
-``composed_expansion`` reads each column once), so ``functional_shift`` costs
-what ``umbral_shift`` does; the basis expansion is a triangular solve
-(``N^2/2``).
+``d^k [w^m] B(w)^k`` as Python ints (``N^3/6`` multiply-adds at order ``N``,
+one ``series._iconv`` per row).  ``composed_expansion``, ``B_n``, the umbral
+operator and all shifts read it through one :func:`attached_sum` (``N^2/2``; a
+unit weight reads one column, so ``composed_expansion`` reads each column
+once); the basis expansion is a triangular solve (``N^2/2``).  A functional
+``A`` enters only through the diagonal :func:`egf_multiplier` (``N``), so
+``functional_shift`` costs what ``umbral_shift`` does.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import mul
 from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
 from .polyring import _require_delta
-from .series import TruncatedSeries, _scaled, exp_t, shift_multiplier
+from .series import TruncatedSeries, _iconv, _scaled, exp_t, shift_multiplier
 from .univar import UnivarPoly
 
 _ZERO = Fraction(0)
@@ -43,11 +43,8 @@ def pairing(a: TruncatedSeries, p: UnivarPoly) -> Fraction:
         raise OrderTooSmall(
             f"functional of order {a.order} paired with degree {p.degree}"
         )
-    total = _ZERO
-    for n, c in enumerate(p.coeffs):
-        if c:
-            total += c * a.egf(n)
-    return total
+    dot = sum(math.factorial(n) * x * y for n, (x, y) in enumerate(zip(p.nums, a.nums)))
+    return Fraction(dot, p.den * a.den)
 
 
 def pairing_series(a: TruncatedSeries, gs: GenSeries) -> TruncatedSeries:
@@ -79,16 +76,14 @@ def power_table(b: TruncatedSeries, order: int) -> tuple[list[list[int]], int]:
     low = b.truncate(order)  # its den is the lcm of the used denominators
     xs, d = low.nums, low.den
     rows = [[1] + [0] * order]
-    for k in range(1, order + 1):
-        prev = rows[-1]
-        row = [sum(map(mul, prev[k - 1 : m], xs[m - k + 1 : 0 : -1])) for m in range(k, order + 1)]
-        rows.append([0] * k + row)
+    for k in range(1, order + 1):  # B^k = w^(k-1) (B^(k-1) / w^(k-1)) * w (B / w)
+        rows.append([0] * k + _iconv(rows[-1][k - 1 :], xs[1:], order - k))
     return rows, d
 
 
 def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> GenSeries:
     """The ``w``-expansion of ``A(x * B(w))`` with UnivarPoly coefficients; the
-    coefficient of ``w^m`` is ``P_m / m!`` in the notation of :func:`attached_sum`."""
+    coefficient of ``w^m`` is ``M_A(B_m) / m!`` (see :func:`egf_multiplier`)."""
     _require_delta(b)
     if b.order < order or a.order < order:
         raise OrderTooSmall(
@@ -96,7 +91,7 @@ def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Ge
         )
     table = power_table(b, order)
     units = ([_ZERO] * m + [Fraction(1, math.factorial(m))] for m in range(order + 1))
-    return GenSeries([attached_sum(table, ws, a) for ws in units])
+    return GenSeries([egf_multiplier(a, attached_sum(table, ws)) for ws in units])
 
 
 def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
@@ -104,28 +99,29 @@ def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
     return composed_expansion(exp_t(order), b, order)
 
 
-def attached_sum(
-    table: tuple, weights: list[Fraction], a: TruncatedSeries | None = None
-) -> UnivarPoly:
-    """``sum_n weights[n] P_n(x)`` over a :func:`power_table`, with
-    ``P_n = n! [w^n] A(x B(w))``: integer dot products from the first nonzero
-    weight on (so a unit weight reads one table column), scaled by
-    ``a_k / d^k`` from ``A``'s stored pair, one ``Fraction`` per coefficient.
-    ``A`` defaults to ``e^t``, giving ``B_n``."""
+def attached_sum(table: tuple, weights: list[Fraction]) -> UnivarPoly:
+    """``sum_n weights[n] B_n(x)`` over a :func:`power_table`: ``[x^k]`` is the
+    integer dot product ``sum_n n! w_n rows[k][n]`` from the first nonzero
+    weight on (so a unit weight reads one table column) over ``k! d^k``; all
+    are put over ``K! d^K`` for the top index ``K``."""
     rows, d = table
     ws, den = _scaled(weights)
+    top = max(len(ws) - 1, 0)  # no weight at all sums to zero
     ws = [w * math.factorial(n) for n, w in enumerate(ws)]
     low = next((n for n, w in enumerate(ws) if w), len(ws))
-    out, scale = [], den
-    for k in range(len(ws)):
+    out, scale = [], 1  # scale = d^(K-k) K!/k!
+    for k in range(top, -1, -1):
         j = max(k, low)
-        dot = sum(map(mul, ws[j:], rows[k][j:]))
-        if a is None:
-            out.append(Fraction(dot, scale * math.factorial(k)))
-        else:
-            out.append(Fraction(a.nums[k] * dot, scale * a.den))
-        scale *= d
-    return UnivarPoly(out)
+        out.append(sum(map(mul, ws[j:], rows[k][j:])) * scale)
+        scale *= d * k
+    return UnivarPoly.from_pair(out[::-1], den * d**top * math.factorial(top))
+
+
+def egf_multiplier(a: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
+    """``M_A``: the diagonal map ``x^k -> A_k x^k`` with ``A_k = k! a_k`` the
+    EGF coefficients of ``a``; ``M_(e^t)`` is the identity."""
+    nums = [math.factorial(k) * x * a._num(k) for k, x in enumerate(p.nums)]
+    return UnivarPoly.from_pair(nums, p.den * a.den)
 
 
 def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
@@ -134,7 +130,7 @@ def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
     ``k! d^k p_k = sum_(n >= k) v_n rows[k][n]``, ``v_n = n! c_n``, solved top
     down over integers ``v_n = vs[n] / q`` with one common denominator ``q``."""
     rows, d = table
-    ps, den = _scaled(p.coeffs)
+    ps, den = p.nums, p.den
     vs, q = [0] * len(ps), 1
     for k in range(len(ps) - 1, -1, -1):
         dot = sum(map(mul, vs[k + 1 :], rows[k][k + 1 :]))
@@ -180,7 +176,8 @@ def functional_shift(
 ) -> UnivarPoly:
     """The shift steered by a functional ``A``: maps the basis polynomial
     ``B_n(x)`` to the image of ``D^(n+1) y_0`` under both substitutions, which
-    by FDBU is ``(n+1)! [w^(n+1)] A(x B(w))``; ``A = e^t`` gives the umbral shift."""
+    by FDBU is ``(n+1)! [w^(n+1)] A(x B(w))``.  As ``A(x B(w)) = sum a_k x^k B(w)^k``,
+    that is ``M_A(B_(n+1))``: :func:`egf_multiplier` after the umbral shift."""
     if not p:
         return UnivarPoly.zero()
     d = p.degree
@@ -188,8 +185,7 @@ def functional_shift(
         raise OrderTooSmall(
             f"need both series to order {d + 1}; have {a.order} and {b.order}"
         )
-    table = power_table(b, d + 1)
-    return attached_sum(table, [_ZERO] + basis_coordinates(table, p), a)
+    return egf_multiplier(a, umbral_shift(b, p))
 
 
 def apply_series_in_ddx(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:

@@ -1,31 +1,39 @@
-"""Dense univariate polynomials in ``x`` with exact rational coefficients."""
+"""Dense univariate polynomials in ``x`` with exact rational coefficients, stored
+as the integer pair of a series (numerators over one denominator) with no trailing
+zero numerator; arithmetic runs on the ints and ends in one gcd pass."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
-from .series import as_rational
-
-Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
+from .series import _ZERO, Scalar, _iconv, _Pair, _scaled, as_rational
 
 
-class UnivarPoly:
+class UnivarPoly(_Pair):
     """Polynomial ``sum p_n x^n`` stored densely with no trailing zeros.
 
     The zero polynomial stores no coefficients and reports degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if type(c) is Fraction else as_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        nums, self.den = _scaled(cs)
+        self.nums: tuple[int, ...] = tuple(nums)
+
+    @classmethod
+    def from_pair(cls, nums: Sequence[int], den: int) -> "UnivarPoly":
+        """``sum nums[n] x^n / den`` for ``den != 0``, trailing zeros dropped."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        return super().from_pair(nums, den)
 
     @classmethod
     def zero(cls) -> "UnivarPoly":
@@ -45,21 +53,12 @@ class UnivarPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
+        if 0 <= n < len(self.nums):
+            return Fraction(self.nums[n], self.den)
         return _ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnivarPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, UnivarPoly):
@@ -72,13 +71,15 @@ class UnivarPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(rhs.coeffs))
-        return UnivarPoly([self.coeff(k) + rhs.coeff(k) for k in range(n)])
+        g = math.gcd(self.den, rhs.den)
+        fx, fy = rhs.den // g, self.den // g
+        pairs = zip_longest(self.nums, rhs.nums, fillvalue=0)
+        return UnivarPoly.from_pair([x * fx + y * fy for x, y in pairs], self.den * fx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UnivarPoly([-c for c in self.coeffs])
+        return UnivarPoly.from_pair([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -91,27 +92,20 @@ class UnivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, UnivarPoly):
-            if not self or not other:
-                return UnivarPoly()
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return UnivarPoly(out)
+            ys = list(other.nums) + [0] * (len(self.nums) - 1)  # _iconv reads ys to the top
+            return UnivarPoly.from_pair(_iconv(self.nums, ys, len(ys) - 1), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return UnivarPoly([c * q for c in self.coeffs])
+            return UnivarPoly.from_pair(
+                [x * q.numerator for x in self.nums], self.den * q.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return UnivarPoly([c / q for c in self.coeffs])
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -122,23 +116,8 @@ class UnivarPoly:
             out = out * self
         return out
 
-    def __repr__(self) -> str:
-        return f"UnivarPoly({list(self.coeffs)!r})"
-
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            elif n == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{n}" if c == 1 else f"{c}*x^{n}")
-        return " + ".join(parts)
+        return self._terms("x")
 
     def evaluate(self, value: Scalar) -> Fraction:
         acc = _ZERO
@@ -148,18 +127,17 @@ class UnivarPoly:
         return acc
 
     def derivative(self) -> "UnivarPoly":
-        return UnivarPoly([n * c for n, c in enumerate(self.coeffs)][1:])
+        return UnivarPoly.from_pair([n * x for n, x in enumerate(self.nums)][1:], self.den)
 
     def shift_argument(self, offset: Scalar) -> "UnivarPoly":
         """The polynomial ``p(x + offset)`` expanded binomially."""
         h = as_rational(offset)
-        out = [_ZERO] * len(self.coeffs)
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for k in range(n + 1):
-                out[k] += c * math.comb(n, k) * h ** (n - k)
-        return UnivarPoly(out)
+        r, s, top = h.numerator, h.denominator, max(self.degree, 0)
+        out = [0] * len(self.nums)
+        for n, x in enumerate(self.nums):
+            for k in range(n + 1):  # h^(n-k) = r^(n-k) s^(top-n+k) / s^top
+                out[k] += x * math.comb(n, k) * r ** (n - k) * s ** (top - n + k)
+        return UnivarPoly.from_pair(out, self.den * s**top)
 
 
 def exp_w_ddx(p: UnivarPoly, order: int):

@@ -240,6 +240,19 @@ def test_power_past_the_bit_ceiling_is_refused_before_any_multiplication(
     assert run(capsys, "pair", "--A", "(1-t/2)^40", "--p", "0,1") == (0, "-20\n", "")
 
 
+def test_chain_of_allowed_powers_is_refused_at_its_first_product(capsys):
+    # each factor is 2^999999, exactly MAX_POWER_BITS bits; their product is not
+    assert (2**999999).bit_length() == MAX_POWER_BITS
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pair", "--A", "*".join(["2^999999"] * 200), "--p", "1")
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (2, "", f"error: the result at offset 0 exceeds {MAX_POWER_BITS} bits\n")
+    assert elapsed < 1.0
+    # a sum is bounded as well; the offset is the refused node's, parentheses included
+    code, _, err = run(capsys, "pair", "--A", "1 + (2^999999 + 2^999999)", "--p", "1")
+    assert (code, err) == (2, f"error: the result at offset 4 exceeds {MAX_POWER_BITS} bits\n")
+
+
 def test_coefficient_past_the_digit_ceiling_is_usage_error(capsys):
     code, out, err = run(capsys, "umbral-seq", "--B", "t*2^400000", "--n", "1")
     assert code == 2

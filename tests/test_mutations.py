@@ -95,8 +95,8 @@ def _table_off_at_w4(fn):
     return mutant
 
 
-def _sum_off_at_x3(fn):
-    """``[x^3]`` of every attached sum is off by one."""
+def _poly_off_at_x3(fn):
+    """``[x^3]`` of every polynomial result is off by one."""
     return lambda *args: UnivarPoly(_bump(fn(*args).coeffs, 3))
 
 
@@ -164,8 +164,12 @@ MUTANTS = {
         ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
     ),
     "attached_sum": (
-        lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _sum_off_at_x3),
+        lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _poly_off_at_x3),
         ("FDBU", "ADJ-SUBST", "ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
+    ),
+    "egf_multiplier": (
+        lambda mp: _patch_everywhere(mp, umbral, "egf_multiplier", _poly_off_at_x3),
+        ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
     ),
     "derivation step": (_patch_derivation_step, ("AUTOMORPHISM", "FDBU", "ADJNEW")),
     "specialize_x": (
