@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from random import Random
 from typing import Callable, Optional
 
@@ -84,8 +85,8 @@ class CheckResult:
 def _mismatch(a, b) -> Optional[str]:
     """The first difference between two operands of the same type, or None.
 
-    Series compare up to the shorter order by cross-multiplying their integer
-    numerators, polynomials over both degrees; a :class:`GenSeries` names the
+    Series compare up to the shorter order and polynomials over both degrees,
+    by cross-multiplying their integer numerators; a :class:`GenSeries` names the
     power of ``w`` and then the mismatch of its coefficients, and a
     :class:`MultiPoly` the lowest differing monomial.
     """
@@ -102,14 +103,12 @@ def _mismatch(a, b) -> Optional[str]:
                 return f"w^{k}, {msg}"
         return None
     if isinstance(a, TruncatedSeries):
-        da, db = a.den, b.den
-        for k, (x, y) in enumerate(zip(a.nums, b.nums)):
-            if x * db != y * da:
-                return f"t^{k}: {a.coeff(k)} != {b.coeff(k)}"
-        return None
-    for k in range(max(a.degree, b.degree) + 1):
-        if a.coeff(k) != b.coeff(k):
-            return f"x^{k}: {a.coeff(k)} != {b.coeff(k)}"
+        var, pairs = "t", zip(a.nums, b.nums)
+    else:
+        var, pairs = "x", zip_longest(a.nums, b.nums, fillvalue=0)
+    for k, (x, y) in enumerate(pairs):
+        if x * b.den != y * a.den:
+            return f"{var}^{k}: {a.coeff(k)} != {b.coeff(k)}"
     return None
 
 

@@ -19,7 +19,11 @@ operator and all shifts read it through one :func:`attached_sum` (``N^2/2``; a
 unit weight reads one column, so ``composed_expansion`` reads each column
 once); the basis expansion is a triangular solve (``N^2/2``).  A functional
 ``A`` enters only through the diagonal :func:`egf_multiplier` (``N``), so
-``functional_shift`` costs what ``umbral_shift`` does.
+``functional_shift`` costs what ``umbral_shift`` does.  Weights on the basis
+are one integer pair ``(vs, den)``, ``c_n = vs[n] / (n! den)``: it is what
+:func:`basis_coordinates` returns and :func:`attached_sum` reads.  A ``Fraction``
+is built only where a value leaves the layer (:func:`pairing`,
+:func:`attached_basis_expansion`) and for each row's division in the solve.
 """
 
 from __future__ import annotations
@@ -31,10 +35,8 @@ from operator import mul
 from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
 from .polyring import _require_delta
-from .series import TruncatedSeries, _iconv, _scaled, exp_t, shift_multiplier
+from .series import TruncatedSeries, _iconv, exp_t, shift_multiplier
 from .univar import UnivarPoly
-
-_ZERO = Fraction(0)
 
 
 def pairing(a: TruncatedSeries, p: UnivarPoly) -> Fraction:
@@ -90,8 +92,8 @@ def composed_expansion(a: TruncatedSeries, b: TruncatedSeries, order: int) -> Ge
             f"need both series to order {order}; have {a.order} and {b.order}"
         )
     table = power_table(b, order)
-    units = ([_ZERO] * m + [Fraction(1, math.factorial(m))] for m in range(order + 1))
-    return GenSeries([egf_multiplier(a, attached_sum(table, ws)) for ws in units])
+    units = ([0] * m + [1] for m in range(order + 1))
+    return GenSeries([egf_multiplier(a, attached_sum(table, vs, 1)) for vs in units])
 
 
 def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
@@ -99,20 +101,18 @@ def attached_generating_series(b: TruncatedSeries, order: int) -> GenSeries:
     return composed_expansion(exp_t(order), b, order)
 
 
-def attached_sum(table: tuple, weights: list[Fraction]) -> UnivarPoly:
-    """``sum_n weights[n] B_n(x)`` over a :func:`power_table`: ``[x^k]`` is the
-    integer dot product ``sum_n n! w_n rows[k][n]`` from the first nonzero
-    weight on (so a unit weight reads one table column) over ``k! d^k``; all
-    are put over ``K! d^K`` for the top index ``K``."""
+def attached_sum(table: tuple, vs: list[int], den: int) -> UnivarPoly:
+    """``sum_n c_n B_n(x)``, ``c_n = vs[n] / (n! den)``, over a :func:`power_table`:
+    ``[x^k]`` is the integer dot product ``sum_n vs[n] rows[k][n]`` from the first
+    nonzero weight on (so a unit weight reads one table column) over ``k! d^k den``;
+    all are put over ``K! d^K den`` for the top index ``K``."""
     rows, d = table
-    ws, den = _scaled(weights)
-    top = max(len(ws) - 1, 0)  # no weight at all sums to zero
-    ws = [w * math.factorial(n) for n, w in enumerate(ws)]
-    low = next((n for n, w in enumerate(ws) if w), len(ws))
+    top = max(len(vs) - 1, 0)  # no weight at all sums to zero
+    low = next((n for n, v in enumerate(vs) if v), len(vs))
     out, scale = [], 1  # scale = d^(K-k) K!/k!
     for k in range(top, -1, -1):
         j = max(k, low)
-        out.append(sum(map(mul, ws[j:], rows[k][j:])) * scale)
+        out.append(sum(map(mul, vs[j:], rows[k][j:])) * scale)
         scale *= d * k
     return UnivarPoly.from_pair(out[::-1], den * d**top * math.factorial(top))
 
@@ -124,11 +124,11 @@ def egf_multiplier(a: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     return UnivarPoly.from_pair(nums, p.den * a.den)
 
 
-def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
-    """Coordinates ``c_n`` of ``p`` in the basis ``B_0, ..., B_deg(p)`` of a
-    :func:`power_table` of order at least ``deg(p)``: the triangular system
-    ``k! d^k p_k = sum_(n >= k) v_n rows[k][n]``, ``v_n = n! c_n``, solved top
-    down over integers ``v_n = vs[n] / q`` with one common denominator ``q``."""
+def basis_coordinates(table: tuple, p: UnivarPoly) -> tuple[list[int], int]:
+    """The weight pair ``(vs, q den)`` of ``p = ps / den`` in the basis ``B_0, ...,
+    B_deg(p)`` of a :func:`power_table` of order at least ``deg(p)``: the triangular
+    system ``k! d^k ps[k] = sum_(n >= k) v_n rows[k][n]`` solved top down over
+    integers ``v_n = vs[n] / q`` with one common denominator ``q``."""
     rows, d = table
     ps, den = p.nums, p.den
     vs, q = [0] * len(ps), 1
@@ -139,28 +139,30 @@ def basis_coordinates(table: tuple, p: UnivarPoly) -> list[Fraction]:
             f = v.denominator // math.gcd(q, v.denominator)
             vs, q = [x * f for x in vs], q * f
         vs[k] = v.numerator * (q // v.denominator)
-    return [Fraction(v, q * den * math.factorial(n)) for n, v in enumerate(vs)]
+    return vs, q * den
 
 
 def attached_polynomial(b: TruncatedSeries, n: int) -> UnivarPoly:
     """``B_n(x) = n! * [w^n] e^(x B(w))``; degree exactly ``n``."""
     if n < 0:
         raise ValueError("attached polynomials are indexed by n >= 0")
-    return attached_sum(power_table(b, n), [_ZERO] * n + [Fraction(1)])
+    return attached_sum(power_table(b, n), [0] * n + [math.factorial(n)], 1)
 
 
 def umbral_operator(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     """Linear extension of ``x^n -> B_n(x)``; preserves degree."""
     if not p:
         return UnivarPoly.zero()
-    return attached_sum(power_table(b, p.degree), p.coeffs)
+    vs = [math.factorial(n) * x for n, x in enumerate(p.nums)]
+    return attached_sum(power_table(b, p.degree), vs, p.den)
 
 
 def attached_basis_expansion(b: TruncatedSeries, p: UnivarPoly) -> list[Fraction]:
     """Coordinates of ``p`` in the basis ``B_0, ..., B_deg(p)``."""
     if not p:
         return []
-    return basis_coordinates(power_table(b, p.degree), p)
+    vs, den = basis_coordinates(power_table(b, p.degree), p)
+    return [Fraction(v, den * math.factorial(n)) for n, v in enumerate(vs)]
 
 
 def umbral_shift(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
@@ -168,7 +170,8 @@ def umbral_shift(b: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
     if not p:
         return UnivarPoly.zero()
     table = power_table(b, p.degree + 1)
-    return attached_sum(table, [_ZERO] + basis_coordinates(table, p))
+    vs, den = basis_coordinates(table, p)
+    return attached_sum(table, [0] + [(n + 1) * v for n, v in enumerate(vs)], den)
 
 
 def functional_shift(
@@ -178,9 +181,7 @@ def functional_shift(
     ``B_n(x)`` to the image of ``D^(n+1) y_0`` under both substitutions, which
     by FDBU is ``(n+1)! [w^(n+1)] A(x B(w))``.  As ``A(x B(w)) = sum a_k x^k B(w)^k``,
     that is ``M_A(B_(n+1))``: :func:`egf_multiplier` after the umbral shift."""
-    if not p:
-        return UnivarPoly.zero()
-    d = p.degree
+    d = p.degree  # the zero polynomial passes with d = -1 and maps to zero
     if b.order < d + 1 or a.order < d + 1:
         raise OrderTooSmall(
             f"need both series to order {d + 1}; have {a.order} and {b.order}"
@@ -189,18 +190,16 @@ def functional_shift(
 
 
 def apply_series_in_ddx(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
-    """Apply ``F(d/dx)`` to a polynomial: ``sum f_j p^(j)(x)``."""
+    """Apply ``F(d/dx)`` to a polynomial: ``sum f_j p^(j)(x)``, so ``[x^k]`` is
+    ``sum_j f_j (k+j)!/k! p_(k+j)``, one integer pass over ``f.den p.den``."""
     if p.degree > f.order:
         raise OrderTooSmall(
             f"operator series of order {f.order} applied to degree {p.degree}"
         )
-    out = UnivarPoly.zero()
-    q = p
-    for c in f.coeffs[: p.degree + 1]:
-        if c:
-            out = out + c * q
-        q = q.derivative()
-    return out
+    ps, fs = p.nums, f.nums
+    nums = [sum(math.perm(k + j, j) * fs[j] * x for j, x in enumerate(ps[k:]))
+            for k in range(len(ps))]
+    return UnivarPoly.from_pair(nums, f.den * p.den)
 
 
 def check_adjoint(

@@ -50,7 +50,7 @@ from typing import Iterator, Union
 
 from .errors import IndexOutOfRange, NotHomogeneous
 from .polyring import MultiPoly, accumulate, fock_key, fock_nums, shift_exps
-from .series import TruncatedSeries, as_rational
+from .series import TruncatedSeries, _scaled, as_rational
 from .umbral import attached_sum, basis_coordinates, power_table
 from .univar import UnivarPoly
 
@@ -282,13 +282,14 @@ def mode_shift(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
         raise IndexOutOfRange(f"mode index must be >= -1, got {m}")
     if not p:
         return UnivarPoly.zero()
-    d = p.degree
+    d, low = p.degree, max(m, 0)
     table = power_table(b, max(d, d - m))
-    weights = [_ZERO] * (d - m + 1)
-    for n, c in enumerate(basis_coordinates(table, p)):
-        if c and n >= m:
-            weights[n - m] = c * ladder_value(m, n)
-    return attached_sum(table, weights)
+    vs, den = basis_coordinates(table, p)
+    # weight vs[n] / (n! den) times f_m(n) moves to B_(n-m): over (n-m)! it is
+    # vs[n] f_m(n) (n-m)!/n!, and those factors go over their lcm q
+    fs, q = _scaled([ladder_value(m, n) * Fraction(math.factorial(n - m), math.factorial(n))
+                     for n in range(low, d + 1)])
+    return attached_sum(table, [0] * (low - m) + [v * f for v, f in zip(vs[low:], fs)], den * q)
 
 
 # -- the referee's Sheffer pair ----------------------------------------------

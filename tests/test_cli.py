@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism, file output."""
 
 import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -17,6 +18,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_examples_print_their_outputs(capsys):
+    """Every README command followed by a ``# output`` line prints that line
+    first (an annotation after two spaces is not part of the output)."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = [
+        (cmd, out[2:].split("  ")[0])
+        for cmd, out in zip(lines, lines[1:])
+        if cmd.startswith("umbralcalc ") and out.startswith("# ")
+    ]
+    assert len(examples) >= 6
+    for cmd, first in examples:
+        code, out, _ = run(capsys, *shlex.split(cmd)[1:])
+        assert (code, out.splitlines()[0]) == (0, first), cmd
 
 
 def test_bell_text(capsys):

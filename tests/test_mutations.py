@@ -95,6 +95,16 @@ def _table_off_at_w4(fn):
     return mutant
 
 
+def _coordinates_off_at_3(fn):
+    """``v_3 = 3! c_3`` of every basis expansion is off by one: ``vs[3]`` gains ``den``."""
+
+    def mutant(table, p):
+        vs, den = fn(table, p)
+        return [v + den if n == 3 else v for n, v in enumerate(vs)], den
+
+    return mutant
+
+
 def _poly_off_at_x3(fn):
     """``[x^3]`` of every polynomial result is off by one."""
     return lambda *args: UnivarPoly(_bump(fn(*args).coeffs, 3))
@@ -166,6 +176,10 @@ MUTANTS = {
     "attached_sum": (
         lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _poly_off_at_x3),
         ("FDBU", "ADJ-SUBST", "ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
+    ),
+    "basis_coordinates": (
+        lambda mp: _patch_everywhere(mp, umbral, "basis_coordinates", _coordinates_off_at_3),
+        ("ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
     ),
     "egf_multiplier": (
         lambda mp: _patch_everywhere(mp, umbral, "egf_multiplier", _poly_off_at_x3),

@@ -3,8 +3,8 @@
 Each oracle below is the earlier ``Fraction``-arithmetic implementation,
 copied verbatim except for its name (and the names of the oracles it calls):
 the power table ``composed_expansion`` and every umbral operation that reads
-it, the derivation ``D`` with its powers and exponential, and the two
-substitutions.  ``functional_shift_oracle`` is the earlier derivation-ring
+it, ``F(d/dx)`` on polynomials, the derivation ``D`` with its powers and
+exponential, and the two substitutions.  ``functional_shift_oracle`` is the earlier derivation-ring
 route of the functional shift, which now reads the power table instead.
 The kernels must agree with them exactly, ``Fraction`` for ``Fraction``, and
 must raise the same exception type with the same message on every input
@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralcalc.errors import (
     IndexOutOfRange,
@@ -37,10 +37,14 @@ from umbralcalc.polyring import (
 )
 from umbralcalc.series import TruncatedSeries, exp_t
 from umbralcalc.umbral import (
+    apply_series_in_ddx,
     attached_basis_expansion,
     attached_polynomial,
+    attached_sum,
+    basis_coordinates,
     composed_expansion,
     functional_shift,
+    power_table,
     umbral_operator,
     umbral_shift,
 )
@@ -212,6 +216,21 @@ def mode_shift_oracle(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
         f = ladder_value(m, n)
         if f:
             out = out + gs.coeff(k) * (c * f * Fraction(math.factorial(k)))
+    return out
+
+
+def apply_series_in_ddx_oracle(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
+    """Apply ``F(d/dx)`` to a polynomial: ``sum f_j p^(j)(x)``."""
+    if p.degree > f.order:
+        raise OrderTooSmall(
+            f"operator series of order {f.order} applied to degree {p.degree}"
+        )
+    out = UnivarPoly.zero()
+    q = p
+    for c in f.coeffs[: p.degree + 1]:
+        if c:
+            out = out + c * q
+        q = q.derivative()
     return out
 
 
@@ -422,6 +441,31 @@ def test_umbral_shift_matches_fraction_loop(b, p):
 @given(substitutions, st.integers(-2, 5), univar)
 def test_mode_shift_matches_fraction_loop(b, m, p):
     same(mode_shift, mode_shift_oracle, b, m, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(series(), univar | st.just(UnivarPoly.zero()))
+def test_apply_series_in_ddx_matches_fraction_loop(f, p):
+    same(apply_series_in_ddx, apply_series_in_ddx_oracle, f, p)
+
+
+# a delta series of order at least n and a polynomial of degree at most n
+# (the empty list is the zero polynomial, one entry a constant)
+coordinate_cases = st.integers(0, 16).flatmap(
+    lambda n: st.tuples(deltas(max(n, 1)), st.lists(coefficients, max_size=n + 1).map(UnivarPoly))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coordinate_cases)
+@example((TruncatedSeries([0, 1]), UnivarPoly.zero()))
+@example((TruncatedSeries([0, Fraction(-2, 3), 5]), UnivarPoly([Fraction(7, 4)])))
+def test_attached_sum_inverts_basis_coordinates(case):
+    b, p = case
+    table = power_table(b, b.order)
+    vs, den = basis_coordinates(table, p)
+    assert all(type(v) is int for v in vs) and type(den) is int and den > 0
+    assert attached_sum(table, vs, den) == p
 
 
 small_univar = st.integers(0, 10).flatmap(
