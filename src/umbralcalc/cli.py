@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import registry
+from . import dsl, registry
 from .dsl import MAX_LITERAL_DIGITS, EvalError, ExprSyntaxError, check_literal, evaluate
 from .dsl import int_digit_limit
 from .errors import (
@@ -33,16 +33,9 @@ from .umbral import attached_polynomial, pairing, umbral_operator
 from .univar import UnivarPoly
 from .virasoro import FTable, mode_shift
 
-GRAMMAR = """\
-series expression grammar:
-  expr     := term (("+" | "-") term)*
-  term     := factor (("*" | "/") factor)*
-  factor   := "-" factor | atom ("^" nat)?
-  atom     := rational | "t" | "(" expr ")" | func "(" expr ")"
-  func     := "exp" | "log" | "inv" | "rev"
-  rational := int ("/" posint)?
-polynomial arguments: comma-separated rationals, low degree first (e.g. 0,1,3/2)
-"""
+GRAMMAR = dsl.GRAMMAR + (
+    "polynomial arguments: comma-separated rationals, low degree first (e.g. 0,1,3/2)\n"
+)
 
 # Longest numerator or denominator a report prints, in decimal digits (Python's
 # default is 4,300); printing costs time quadratic in the length.

@@ -1,25 +1,23 @@
 """A small expression language for series on the command line.
 
-Grammar (whitespace is free, no implicit multiplication):
-
-    expr     := term (("+" | "-") term)*
-    term     := factor (("*" | "/") factor)*
-    factor   := "-" factor | atom ("^" nat)?
-    atom     := rational | "t" | "(" expr ")" | func "(" expr ")"
-    func     := "exp" | "log" | "inv" | "rev"
-    rational := int ("/" posint)?
-
+The grammar is ``GRAMMAR`` (whitespace is free, no implicit multiplication).
 ``inv`` is the multiplicative inverse and ``rev`` the compositional inverse.
 Parse failures report a byte offset and the tokens that would have been
 accepted there; evaluation failures carry the span of the offending
 subexpression.
+
+Nothing recurses, so nesting depth is bounded only by the input's length.
+``parse`` is one operator-precedence loop over two stacks (Dijkstra's
+shunting-yard): ``vals`` holds finished nodes and ``ops`` the pending
+operators, open parentheses and function names.  ``eval_expr`` and
+``to_text`` are one post-order walk, ``_fold``, over an explicit stack.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -35,6 +33,16 @@ from .errors import (
 from .series import TruncatedSeries, exp_series, log_series
 
 FUNCTIONS = ("exp", "log", "inv", "rev")
+
+GRAMMAR = """\
+series expression grammar:
+  expr     := term (("+" | "-") term)*
+  term     := factor (("*" | "/") factor)*
+  factor   := "-" factor | atom ("^" nat)?
+  atom     := rational | "t" | "(" expr ")" | func "(" expr ")"
+  func     := "exp" | "log" | "inv" | "rev"
+  rational := int ("/" posint)?
+"""
 
 # Longest integer literal read, in decimal digits (Python's default int-from-str
 # limit); a longer one raises LiteralTooLong.
@@ -181,120 +189,96 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# binding power of the binary operators; a unary minus binds at 3, and an
+# open parenthesis or function call waits on the stack at 0
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, context: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(context, tok.pos, expected=(kind,))
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(
-                f"unexpected trailing input {tok.text!r}",
-                tok.pos,
-                expected=("+", "-", "*", "/", "^", "end of input"),
-            )
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = BinOp(op.kind, node, rhs, span=(node.span[0], rhs.span[1]))
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.factor()
-            node = BinOp(op.kind, node, rhs, span=(node.span[0], rhs.span[1]))
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            arg = self.factor()
-            return Neg(arg, span=(tok.pos, arg.span[1]))
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            exp_tok = self.expect("int", "power needs a nonnegative integer exponent")
-            end = exp_tok.pos + len(exp_tok.text)
-            node = Power(node, int(exp_tok.text), span=(node.span[0], end))
-        return node
-
-    def atom(self):
-        tok = self.peek()
+def _parse(text: str):
+    tokens = _tokenize(text)
+    vals, ops = [], []  # finished nodes; pending (binding power, kind, offset)
+    i = 0
+    while True:  # an operand is expected
+        tok = tokens[i]
+        i += 1
+        if tok.kind in ("-", "("):  # a unary minus, or an open parenthesis
+            ops.append((3 if tok.kind == "-" else 0, tok.kind, tok.pos))
+            continue
         if tok.kind == "int":
-            self.advance()
             end = tok.pos + len(tok.text)
             value = Fraction(int(tok.text))
             # rational literal: int "/" posint, decided by two-token lookahead
-            if self.peek().kind == "/" and self.peek(1).kind == "int":
-                self.advance()
-                den_tok = self.advance()
+            if tokens[i].kind == "/" and tokens[i + 1].kind == "int":
+                den_tok = tokens[i + 1]
+                i += 2
                 if int(den_tok.text) == 0:
                     raise ExprSyntaxError("zero denominator", den_tok.pos)
                 value = Fraction(int(tok.text), int(den_tok.text))
                 end = den_tok.pos + len(den_tok.text)
-            return Literal(value, span=(tok.pos, end))
-        if tok.kind == "name":
-            if tok.text == "t":
-                self.advance()
-                return Var(span=(tok.pos, tok.pos + 1))
-            if tok.text in FUNCTIONS:
-                self.advance()
-                self.expect("(", f"{tok.text} needs a parenthesized argument")
-                inner = self.expr()
-                close = self.expect(")", "unclosed paren")
-                return Call(tok.text, inner, span=(tok.pos, close.pos + 1))
-            raise ExprSyntaxError(
-                f"unknown name {tok.text!r}",
-                tok.pos,
-                expected=("t",) + FUNCTIONS,
-            )
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            close = self.expect(")", "unclosed paren")
-            # keep the child node; the span widens to include the parens
-            return _respan(inner, (tok.pos, close.pos + 1))
-        raise ExprSyntaxError(
-            "expected an atom",
-            tok.pos,
-            expected=("rational", "t", "(") + FUNCTIONS,
-        )
-
-
-def _respan(node, span):
-    kwargs = {f: getattr(node, f) for f in node.__dataclass_fields__ if f != "span"}
-    return type(node)(span=span, **kwargs)
+            vals.append(Literal(value, span=(tok.pos, end)))
+        elif tok.kind == "name" and tok.text == "t":
+            vals.append(Var(span=(tok.pos, tok.pos + 1)))
+        elif tok.kind == "name" and tok.text in FUNCTIONS:
+            if tokens[i].kind != "(":
+                msg = f"{tok.text} needs a parenthesized argument"
+                raise ExprSyntaxError(msg, tokens[i].pos, expected=("(",))
+            ops.append((0, tok.text, tok.pos))
+            i += 1
+            continue
+        elif tok.kind == "name":
+            msg, expected = f"unknown name {tok.text!r}", ("t",) + FUNCTIONS
+            raise ExprSyntaxError(msg, tok.pos, expected=expected)
+        else:
+            expected = ("rational", "t", "(") + FUNCTIONS
+            raise ExprSyntaxError("expected an atom", tok.pos, expected=expected)
+        while True:  # an atom was just finished; an operator is expected
+            if tokens[i].kind == "^":
+                exp_tok = tokens[i + 1]
+                if exp_tok.kind != "int":
+                    msg = "power needs a nonnegative integer exponent"
+                    raise ExprSyntaxError(msg, exp_tok.pos, expected=("int",))
+                base = vals.pop()
+                end = exp_tok.pos + len(exp_tok.text)
+                vals.append(Power(base, int(exp_tok.text), span=(base.span[0], end)))
+                i += 2
+            tok = tokens[i]
+            i += 1
+            # pop what binds at least as tightly (left associative); anything
+            # but an operator pops all up to the innermost open parenthesis
+            while ops and ops[-1][0] >= _PREC.get(tok.kind, 1):
+                prec, kind, pos = ops.pop()
+                rhs = vals.pop()
+                if prec == 3:
+                    vals.append(Neg(rhs, span=(pos, rhs.span[1])))
+                else:
+                    lhs = vals.pop()
+                    vals.append(BinOp(kind, lhs, rhs, span=(lhs.span[0], rhs.span[1])))
+            if tok.kind in _PREC:
+                ops.append((_PREC[tok.kind], tok.kind, tok.pos))
+                break
+            if tok.kind == ")" and ops:
+                _, kind, pos = ops.pop()
+                inner, span = vals.pop(), (pos, tok.pos + 1)
+                # a parenthesis keeps the child node and widens its span
+                node = replace(inner, span=span) if kind == "(" else Call(kind, inner, span=span)
+                vals.append(node)
+                continue
+            if ops:
+                raise ExprSyntaxError("unclosed paren", tok.pos, expected=(")",))
+            if tok.kind != "end":
+                raise ExprSyntaxError(
+                    f"unexpected trailing input {tok.text!r}",
+                    tok.pos,
+                    expected=("+", "-", "*", "/", "^", "end of input"),
+                )
+            return vals.pop()
 
 
 def parse(text: str):
     """Parse a series expression into its syntax tree, reading literals up to
     ``MAX_LITERAL_DIGITS`` digits whatever the process's int-from-str limit."""
     with int_digit_limit(MAX_LITERAL_DIGITS):
-        return _Parser(text).parse()
+        return _parse(text)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -314,53 +298,66 @@ def _power_bits(base: TruncatedSeries, n: int) -> int:
     return n * lead + base.order * (top + (n + base.order).bit_length())
 
 
+def _fold(node, step):
+    """``step(node, *results of its children)`` for every node, children first
+    and left to right, over an explicit stack; the root's result is returned."""
+    nodes, todo = [], [node]
+    while todo:  # pre-order, right child first: reversed, it is the post-order
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            kids = (node.left, node.right)
+        elif isinstance(node, Power):
+            kids = (node.base,)
+        elif isinstance(node, (Neg, Call)):
+            kids = (node.arg,)
+        else:
+            kids = ()
+        nodes.append((node, len(kids)))
+        todo.extend(kids)
+    done = []
+    for node, arity in reversed(nodes):
+        cut = len(done) - arity  # the children's results end ``done``
+        done[cut:] = [step(node, *done[cut:])]
+    return done[0]
+
+
 def eval_expr(node, order: int) -> TruncatedSeries:
     """Evaluate a parsed expression to an exact series of the given order.  A
     node whose result holds a number of more than ``MAX_POWER_BITS`` bits is
     refused, so a chain of allowed powers stops at its first product."""
-    try:
-        if isinstance(node, Literal):
-            out = TruncatedSeries.constant(node.value, order)
-        elif isinstance(node, Var):
-            out = TruncatedSeries.identity(order)
-        elif isinstance(node, Neg):
-            out = -eval_expr(node.arg, order)
-        elif isinstance(node, BinOp):
-            lhs = eval_expr(node.left, order)
-            rhs = eval_expr(node.right, order)
-            if node.op == "+":
-                out = lhs + rhs
-            elif node.op == "-":
-                out = lhs - rhs
-            elif node.op == "*":
-                out = lhs * rhs
+    apply = {  # the binary operators and the functions
+        "+": TruncatedSeries.__add__, "-": TruncatedSeries.__sub__,
+        "*": TruncatedSeries.__mul__, "/": TruncatedSeries.__truediv__,
+        "exp": exp_series, "log": log_series,
+        "inv": TruncatedSeries.reciprocal, "rev": TruncatedSeries.reversion,
+    }
+
+    def step(node, lhs=None, rhs=None):
+        try:
+            if isinstance(node, Literal):
+                out = TruncatedSeries.constant(node.value, order)
+            elif isinstance(node, Var):
+                out = TruncatedSeries.identity(order)
+            elif isinstance(node, Neg):
+                out = -lhs
+            elif isinstance(node, BinOp):
+                out = apply[node.op](lhs, rhs)
+            elif isinstance(node, Call):
+                out = apply[node.func](lhs)
+            elif isinstance(node, Power):
+                if _power_bits(lhs, node.exponent) > MAX_POWER_BITS:
+                    msg = f"the power at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits"
+                    raise ResultTooLarge(msg)
+                out = lhs ** node.exponent
             else:
-                out = lhs / rhs
-        elif isinstance(node, Power):
-            base = eval_expr(node.base, order)
-            if _power_bits(base, node.exponent) > MAX_POWER_BITS:
-                msg = f"the power at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits"
-                raise ResultTooLarge(msg)
-            out = base ** node.exponent
-        elif isinstance(node, Call):
-            arg = eval_expr(node.arg, order)
-            if node.func == "exp":
-                out = exp_series(arg)
-            elif node.func == "log":
-                out = log_series(arg)
-            elif node.func == "inv":
-                out = arg.reciprocal()
-            else:
-                out = arg.reversion()
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    except EvalError:
-        raise
-    except _DOMAIN_ERRORS as exc:
-        raise EvalError(str(exc), node.span) from exc
-    if max(out.den.bit_length(), *map(int.bit_length, out.nums)) > MAX_POWER_BITS:
-        raise ResultTooLarge(f"the result at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits")
-    return out
+                raise TypeError(f"not an expression node: {node!r}")
+        except _DOMAIN_ERRORS as exc:
+            raise EvalError(str(exc), node.span) from exc
+        if max(out.den.bit_length(), *map(int.bit_length, out.nums)) > MAX_POWER_BITS:
+            raise ResultTooLarge(f"the result at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits")
+        return out
+
+    return _fold(node, step)
 
 
 def evaluate(text: str, order: int) -> TruncatedSeries:
@@ -370,42 +367,35 @@ def evaluate(text: str, order: int) -> TruncatedSeries:
 
 # -- pretty printer ----------------------------------------------------------
 
-# context levels: 0 expr, 1/2 sum operands, 2/3 product operands,
-# 3 unary-minus argument (a factor), 4 power base (an atom)
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def to_text(node) -> str:
     """Render a tree so that parsing the result rebuilds an equal tree."""
-    return _fmt(node, 0)
+    def wrap(kid, context):  # kid is (text, binding power)
+        return f"({kid[0]})" if context > kid[1] else kid[0]
 
+    def step(node, first=None, second=None):
+        # binding powers: 4 an atom, 3 a unary minus, a power or a slashed
+        # literal (which must not capture a following exponent), _PREC for + - * /
+        if isinstance(node, Literal):
+            text = str(node.value)
+            return text, 3 if "/" in text else 4
+        if isinstance(node, Var):
+            return "t", 4
+        if isinstance(node, Call):
+            return f"{node.func}({first[0]})", 4
+        if isinstance(node, Neg):
+            return f"-{wrap(first, 3)}", 3
+        if isinstance(node, Power):
+            return f"{wrap(first, 4)}^{node.exponent}", 3
+        if isinstance(node, BinOp):
+            prec = _PREC[node.op]
+            # the grammar is left associative: the right operand binds tighter
+            text = wrap(second, prec + 1)
+            if node.op == "/" and text[0].isdigit():
+                # "/" followed by a digit would fuse with the greedy
+                # slashed-rational lexical rule during reparsing
+                text = f"({text})"
+            return f"{wrap(first, prec)}{node.op}{text}", prec
+        raise TypeError(f"not an expression node: {node!r}")
 
-def _fmt(node, context: int) -> str:
-    if isinstance(node, Literal):
-        text = str(node.value)
-        # a slashed literal at power-base position must not capture the exponent
-        if "/" in text and context >= 4:
-            return f"({text})"
-        return text
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Call):
-        return f"{node.func}({_fmt(node.arg, 0)})"
-    if isinstance(node, Neg):
-        body = f"-{_fmt(node.arg, 3)}"
-        return f"({body})" if context >= 4 else body
-    if isinstance(node, Power):
-        body = f"{_fmt(node.base, 4)}^{node.exponent}"
-        return f"({body})" if context >= 4 else body
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = _fmt(node.left, prec)
-        # the grammar is left associative: the right operand binds tighter
-        right = _fmt(node.right, prec + 1)
-        if node.op == "/" and right[0].isdigit():
-            # "/" followed by a digit would fuse with the greedy
-            # slashed-rational lexical rule during reparsing
-            right = f"({right})"
-        body = f"{left}{node.op}{right}"
-        return f"({body})" if context > prec else body
-    raise TypeError(f"not an expression node: {node!r}")
+    return _fold(node, step)[0]

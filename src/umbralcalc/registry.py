@@ -268,6 +268,7 @@ def _check_adjnew(order: int, rng: Random) -> str:
         a = random_series(rng, order + 2)
         b = random_delta(rng, order + 2)
         a_prime = a.egf_shift(1)
+        a_of_b = _at_one(_chain_leg(y_0, a, b))  # the left side of two pairs
         pairs = [
             (
                 "A'(B(w))",
@@ -283,12 +284,12 @@ def _check_adjnew(order: int, rng: Random) -> str:
             ),
             (
                 "A(B(w))",
-                _at_one(_chain_leg(y_0, a, b)),
+                a_of_b,
                 _at_one(_chain_leg(y_0, a.compose(b), t_series)),
             ),
             (
                 "A'(B(w))B'(w)",
-                _at_one(_chain_leg(y_0, a, b)).derivative(),
+                a_of_b.derivative(),
                 _at_one(_chain_leg(y_0, shift_multiplier(b) * a_prime, b)),
             ),
         ]

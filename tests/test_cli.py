@@ -208,6 +208,24 @@ def test_bad_series_expression_is_usage_error(capsys):
     assert "series expression grammar" in err
 
 
+@pytest.mark.parametrize(
+    "a_expr, poly, value",
+    [
+        ("+".join(["t"] * 1_200), "1", "0"),
+        ("(" * 300 + "t" + ")" * 300, "0,1", "1"),
+        ("*".join(["t"] * 1_500), "0,1", "0"),
+        ("inv(" * 300 + "1+t" + ")" * 300, "0,1", "1"),
+        ("-" * 1_000 + "t", "0,1", "1"),
+        ("(" * 20_000 + "t" + ")" * 20_000, "0,1", "1"),
+        ("+".join(["t"] * 60_000), "0,1", "60000"),
+    ],
+    ids=["sum", "parens", "product", "inv", "minus", "parens-20000", "sum-60000"],
+)
+def test_deeply_nested_series_pairs_at_the_default_recursion_limit(capsys, a_expr, poly, value):
+    assert sys.getrecursionlimit() <= 1000
+    assert run(capsys, "pair", f"--A={a_expr}", "--p", poly) == (0, f"{value}\n", "")
+
+
 def test_non_delta_series_is_usage_error(capsys):
     code, _, err = run(capsys, "umbral-seq", "--B", "1+t", "--n", "2")
     assert code == 2

@@ -24,8 +24,9 @@ from umbralcalc.dsl import (
     parse,
     to_text,
 )
-from umbralcalc.errors import LiteralTooLong
-from umbralcalc.series import TruncatedSeries, exp_t
+from umbralcalc.dsl import _DOMAIN_ERRORS, MAX_POWER_BITS, _power_bits, _tokenize
+from umbralcalc.errors import LiteralTooLong, ResultTooLarge
+from umbralcalc.series import TruncatedSeries, exp_series, exp_t, log_series
 
 F = Fraction
 
@@ -261,3 +262,253 @@ def test_literals_ignore_a_lowered_int_limit():
 def test_non_ascii_digits_are_syntax_errors():
     with pytest.raises(ExprSyntaxError, match="unexpected character"):
         parse("2\u00b2")
+
+
+# -- no recursion ------------------------------------------------------------
+# Trees this deep are compared through to_text and series values: the
+# dataclass __eq__ and __repr__ of a node recurse.
+
+
+@pytest.mark.parametrize(
+    "text, coeffs",
+    [
+        ("(" * 20_000 + "t" + ")" * 20_000, (0, 1, 0)),
+        ("+".join(["t"] * 60_000), (0, 60_000, 0)),
+        ("rev(" * 20_000 + "t" + ")" * 20_000, (0, 1, 0)),
+        ("-" * 100_000 + "t", (0, 1, 0)),
+    ],
+    ids=["parens", "sum", "rev", "minus"],
+)
+def test_deep_nesting_parses_prints_and_evaluates(text, coeffs):
+    assert sys.getrecursionlimit() <= 1000
+    tree = parse(text)
+    assert to_text(tree) == ("t" if text.startswith("((") else text)
+    assert tree.span == (0, len(text))
+    assert evaluate(text, 2).coeffs == tuple(map(F, coeffs))
+
+
+def test_deep_nesting_keeps_the_first_error():
+    assert sys.getrecursionlimit() <= 1000
+    deep = "(" * 20_000 + "t"
+    with pytest.raises(ExprSyntaxError, match="unclosed paren") as err:
+        parse(deep)
+    assert (err.value.offset, err.value.expected) == (len(deep), (")",))
+    with pytest.raises(EvalError) as err:
+        evaluate("exp(" * 5_000 + "1+t" + ")" * 5_000, 3)
+    assert err.value.span == (4 * 4_999, 4 * 5_000 + 3 + 1)
+
+
+# -- the recursive descent parser, evaluator and printer, kept as an oracle --
+
+
+class _RecursiveParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, context):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(context, tok.pos, expected=(kind,))
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(
+                f"unexpected trailing input {tok.text!r}",
+                tok.pos,
+                expected=("+", "-", "*", "/", "^", "end of input"),
+            )
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            node = BinOp(op.kind, node, rhs, span=(node.span[0], rhs.span[1]))
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.advance()
+            rhs = self.factor()
+            node = BinOp(op.kind, node, rhs, span=(node.span[0], rhs.span[1]))
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "-":
+            self.advance()
+            arg = self.factor()
+            return Neg(arg, span=(tok.pos, arg.span[1]))
+        node = self.atom()
+        if self.peek().kind == "^":
+            self.advance()
+            exp_tok = self.expect("int", "power needs a nonnegative integer exponent")
+            end = exp_tok.pos + len(exp_tok.text)
+            node = Power(node, int(exp_tok.text), span=(node.span[0], end))
+        return node
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            end = tok.pos + len(tok.text)
+            value = Fraction(int(tok.text))
+            if self.peek().kind == "/" and self.peek(1).kind == "int":
+                self.advance()
+                den_tok = self.advance()
+                if int(den_tok.text) == 0:
+                    raise ExprSyntaxError("zero denominator", den_tok.pos)
+                value = Fraction(int(tok.text), int(den_tok.text))
+                end = den_tok.pos + len(den_tok.text)
+            return Literal(value, span=(tok.pos, end))
+        if tok.kind == "name":
+            if tok.text == "t":
+                self.advance()
+                return Var(span=(tok.pos, tok.pos + 1))
+            if tok.text in FUNCTIONS:
+                self.advance()
+                self.expect("(", f"{tok.text} needs a parenthesized argument")
+                inner = self.expr()
+                close = self.expect(")", "unclosed paren")
+                return Call(tok.text, inner, span=(tok.pos, close.pos + 1))
+            raise ExprSyntaxError(
+                f"unknown name {tok.text!r}", tok.pos, expected=("t",) + FUNCTIONS
+            )
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            close = self.expect(")", "unclosed paren")
+            kwargs = {f: getattr(inner, f) for f in inner.__dataclass_fields__ if f != "span"}
+            return type(inner)(span=(tok.pos, close.pos + 1), **kwargs)
+        raise ExprSyntaxError(
+            "expected an atom", tok.pos, expected=("rational", "t", "(") + FUNCTIONS
+        )
+
+
+def _recursive_eval(node, order):
+    try:
+        if isinstance(node, Literal):
+            out = TruncatedSeries.constant(node.value, order)
+        elif isinstance(node, Var):
+            out = TruncatedSeries.identity(order)
+        elif isinstance(node, Neg):
+            out = -_recursive_eval(node.arg, order)
+        elif isinstance(node, BinOp):
+            lhs = _recursive_eval(node.left, order)
+            rhs = _recursive_eval(node.right, order)
+            if node.op == "+":
+                out = lhs + rhs
+            elif node.op == "-":
+                out = lhs - rhs
+            elif node.op == "*":
+                out = lhs * rhs
+            else:
+                out = lhs / rhs
+        elif isinstance(node, Power):
+            base = _recursive_eval(node.base, order)
+            if _power_bits(base, node.exponent) > MAX_POWER_BITS:
+                msg = f"the power at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits"
+                raise ResultTooLarge(msg)
+            out = base ** node.exponent
+        elif isinstance(node, Call):
+            arg = _recursive_eval(node.arg, order)
+            if node.func == "exp":
+                out = exp_series(arg)
+            elif node.func == "log":
+                out = log_series(arg)
+            elif node.func == "inv":
+                out = arg.reciprocal()
+            else:
+                out = arg.reversion()
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    except EvalError:
+        raise
+    except _DOMAIN_ERRORS as exc:
+        raise EvalError(str(exc), node.span) from exc
+    if max(out.den.bit_length(), *map(int.bit_length, out.nums)) > MAX_POWER_BITS:
+        raise ResultTooLarge(f"the result at offset {node.span[0]} exceeds {MAX_POWER_BITS} bits")
+    return out
+
+
+def _recursive_fmt(node, context):
+    if isinstance(node, Literal):
+        text = str(node.value)
+        if "/" in text and context >= 4:
+            return f"({text})"
+        return text
+    if isinstance(node, Var):
+        return "t"
+    if isinstance(node, Call):
+        return f"{node.func}({_recursive_fmt(node.arg, 0)})"
+    if isinstance(node, Neg):
+        body = f"-{_recursive_fmt(node.arg, 3)}"
+        return f"({body})" if context >= 4 else body
+    if isinstance(node, Power):
+        body = f"{_recursive_fmt(node.base, 4)}^{node.exponent}"
+        return f"({body})" if context >= 4 else body
+    if isinstance(node, BinOp):
+        prec = {"+": 1, "-": 1, "*": 2, "/": 2}[node.op]
+        left = _recursive_fmt(node.left, prec)
+        right = _recursive_fmt(node.right, prec + 1)
+        if node.op == "/" and right[0].isdigit():
+            right = f"({right})"
+        body = f"{left}{node.op}{right}"
+        return f"({body})" if context > prec else body
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _outcome(call):
+    """A call's value, or its error's type, message and located fields."""
+    try:
+        return call()
+    except (ExprSyntaxError, EvalError, ResultTooLarge) as exc:
+        where = (getattr(exc, "offset", None), getattr(exc, "expected", None), getattr(exc, "span", None))
+        return type(exc), str(exc), where
+
+
+_TOKENS = (
+    "t", "0", "1", "2", "3", "12", "1/0", "2/3", "999999", "+", "-", "*", "/", "^",
+    "(", ")", "exp", "log", "inv", "rev", "x", " ",
+)
+
+
+def _token_strings():
+    """Random token runs, and printed random trees with a token inserted or
+    one dropped, so that both valid and nearly valid inputs are drawn."""
+    runs = st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join)
+    printed = st.tuples(
+        _tree_strategy().map(to_text),
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from(_TOKENS + ("",)),
+        st.booleans(),
+    ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + (1 if t[3] else 0):])
+    return st.one_of(runs, printed, _tree_strategy().map(to_text))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_token_strings())
+def test_loop_parser_evaluator_and_printer_match_the_recursive_ones(text):
+    new = _outcome(lambda: parse(text))
+    old = _outcome(lambda: _RecursiveParser(text).parse())
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert repr(new) == repr(old)
+    assert to_text(new) == _recursive_fmt(old, 0)
+    assert _outcome(lambda: eval_expr(new, 4)) == _outcome(lambda: _recursive_eval(old, 4))
