@@ -13,9 +13,14 @@ generic composite, together with the substitution homomorphisms that
 specialize the generic symbols to the coefficients of concrete series.
 It also hosts the Fock space ``y*C[x_1, x_2, ...]`` of :mod:`virasoro`.
 
-This is the only module that knows the monomial-key layout; other modules
-go through :func:`shift_exps`, :func:`accumulate`, :func:`fock_key`,
-:func:`fock_nums` and :func:`fock_terms`.
+A monomial key is ``(ys, xs, px)``: the sorted tuples of the ``y``- and
+``x_j``-indices, one entry per unit, and the exponent of the plain ``x``, so
+``y_0 x_1^2 x_3`` is ``((0,), (1, 1, 3), 0)``.  A key product sorts the joined
+tuples, a degree is a ``len`` and an ``x_j`` part is a partition of its
+weight.  ``(index, exponent)`` pairs are built only to print and to order
+:meth:`MultiPoly.sorted_terms`.  Other modules read keys only through
+:func:`accumulate`, :func:`unit_moves`, :func:`fock_key`, :func:`fock_nums`
+and :func:`fock_terms`.
 
 A :class:`MultiPoly` stores one canonical pair, as FLINT's ``fmpq_poly``
 does: integer numerators ``nums = {key: int}`` over one denominator ``den``,
@@ -35,6 +40,7 @@ integer numerators per output key over one common denominator.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -49,25 +55,25 @@ Scalar = Union[int, Fraction]
 # below that is headroom, not silent truncation.
 Y_INDEX_FLOOR = -4
 
-# A monomial key is (ys, xs, px): sorted ((index, exp), ...) tuples for the
-# y- and x-families plus the exponent of the plain x.
 _EMPTY_KEY = ((), (), 0)
 
 
-def shift_exps(exps: tuple, *deltas: tuple) -> tuple:
-    """Add each ``(index, delta)`` in turn to a sorted exponent tuple."""
-    if not deltas:
-        return exps
-    out = dict(exps)
-    for index, delta in deltas:
-        e = out.get(index, 0) + delta
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e:
-            out[index] = e
-        else:
-            out.pop(index, None)
-    return tuple(sorted(out.items()))
+def unit_moves(t: tuple) -> list:
+    """``(t', e)`` for each distinct index ``i`` of a sorted index tuple ``t``:
+    ``t'`` is ``t`` with one unit moved from ``i`` to ``i + 1`` (in the slot of
+    the last ``i``, so it stays sorted) and ``e`` is the multiplicity of ``i``."""
+    out = []
+    last = len(t) - 1
+    for n, i in enumerate(t):
+        if n == last or t[n + 1] != i:
+            out.append((t[:n] + (i + 1,) + t[n + 1 :], t.count(i)))
+    return out
+
+
+def _pair_form(key: tuple) -> tuple:
+    """The key with each family as sorted ``(index, exponent)`` pairs."""
+    ys, xs, px = key
+    return tuple(Counter(ys).items()), tuple(Counter(xs).items()), px
 
 
 def accumulate(acc: dict, pairs) -> dict:
@@ -85,11 +91,11 @@ def accumulate(acc: dict, pairs) -> dict:
 
 
 def _key_mul(k1, k2):
-    return (shift_exps(k1[0], *k2[0]), shift_exps(k1[1], *k2[1]), k1[2] + k2[2])
+    return (tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1])), k1[2] + k2[2])
 
 
 def fock_key(xs: tuple) -> tuple:
-    """The key of the Fock monomial with ``x_j`` exponent tuple ``xs``."""
+    """The key of the Fock monomial with sorted ``x_j`` index tuple ``xs``."""
     return ((), xs, 0)
 
 
@@ -162,13 +168,13 @@ class MultiPoly:
         limit = Y_INDEX_FLOOR if floor is None else floor
         if i < limit:
             raise IndexOutOfRange(f"y-index {i} below floor {limit}")
-        return cls.from_pair({(((i, 1),), (), 0): 1}, 1)
+        return cls.from_pair({((i,), (), 0): 1}, 1)
 
     @classmethod
     def x(cls, j: int) -> "MultiPoly":
         if j < 1:
             raise IndexOutOfRange(f"x-index must be >= 1, got {j}")
-        return cls.from_pair({fock_key(((j, 1),)): 1}, 1)
+        return cls.from_pair({fock_key((j,)): 1}, 1)
 
     @classmethod
     def plain_x(cls) -> "MultiPoly":
@@ -202,7 +208,8 @@ class MultiPoly:
         return Fraction(self.nums.get(key, 0), self.den)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        """The ``(key, Fraction)`` terms ordered by their ``(index, exponent)`` form."""
+        return sorted(self.terms.items(), key=lambda kv: _pair_form(kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -273,7 +280,7 @@ class MultiPoly:
         if not self.nums:
             return "0"
         parts = []
-        for (ys, xs, px), c in self.sorted_terms():
+        for (ys, xs, px), c in sorted((_pair_form(k), c) for k, c in self.terms.items()):
             factors = []
             for i, e in ys:
                 name = f"y{i}" if i >= 0 else f"y({i})"
@@ -306,17 +313,6 @@ def to_univar(p: MultiPoly) -> UnivarPoly:
 # -- the derivation and its exponential -------------------------------------
 
 
-def _step(exps: tuple, pos: int) -> tuple:
-    """``exps`` with one unit moved from its ``pos``-th index ``i`` to ``i + 1``."""
-    i, e = exps[pos]
-    rest = exps[pos + 1 :]
-    if rest and rest[0][0] == i + 1:
-        rest = ((i + 1, rest[0][1] + 1),) + rest[1:]
-    else:
-        rest = ((i + 1, 1),) + rest
-    return exps[:pos] + (((i, e - 1),) if e > 1 else ()) + rest
-
-
 def _derive(terms: dict) -> dict:
     """One step of ``D`` on a ``{key: coefficient}`` map; ``D`` has integer
     coefficients, so integer coefficients stay integers."""
@@ -324,9 +320,9 @@ def _derive(terms: dict) -> dict:
     for (ys, xs, px), c in terms.items():
         if px:
             raise UnsupportedVariable("derivation domain has no plain x")
-        xs1 = _step(((0, 1),) + xs, 0)  # times x_1
-        pairs += [((_step(ys, n), xs1, 0), c * e) for n, (_, e) in enumerate(ys)]
-        pairs += [((ys, _step(xs, n), 0), c * e) for n, (_, e) in enumerate(xs)]
+        xs1 = (1,) + xs  # times x_1
+        pairs += [((ys1, xs1, 0), c * e) for ys1, e in unit_moves(ys)]
+        pairs += [((ys, xs2, 0), c * e) for xs2, e in unit_moves(xs)]
     return accumulate({}, pairs)
 
 
@@ -370,9 +366,9 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     _require_delta(b)
     if p.uses_plain_x:
         raise UnsupportedVariable("domain of the x-substitution has no plain x")
-    top = max((xs[-1][0] for _, xs, _ in p.nums if xs), default=0)
+    top = max((xs[-1] for _, xs, _ in p.nums if xs), default=0)
     if top > b.order:
-        j = next(j for _, xs, _ in p.nums for j, _ in xs if j > b.order)
+        j = next(j for _, xs, _ in p.nums for j in xs if j > b.order)
         raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
     values, d = _scaled([b.egf(j) for j in range(top + 1)])
     return _substitute(p, 1, values, d)
@@ -392,7 +388,7 @@ def specialize_y(
     for ys, xs, _ in p.nums:
         if xs:
             raise UnsupportedVariable("domain of the y-substitution has no x_j")
-        for i, _ in ys:
+        for i in ys:
             if i in values:
                 continue
             if i > a.order:
@@ -406,16 +402,16 @@ def _substitute(p: MultiPoly, family: int, values, d: int) -> MultiPoly:
     """Replace each ``y_i`` (``family`` 0) or each ``x_j`` (``family`` 1) by
     ``values[index] / d``; an ``x_j`` of total degree ``e`` becomes ``x^e``.
     Every term is put over ``p.den * d^top`` (``top`` the largest substituted
-    degree) before the integer sums."""
-    degrees = [sum(e for _, e in key[family]) for key in p.nums]
-    top = max(degrees, default=0)
+    degree, a tuple length) before the integer sums."""
+    top = max([len(key[family]) for key in p.nums], default=0)
     scale = [d ** (top - k) for k in range(top + 1)]
     pairs = []
-    for (key, c), deg in zip(p.nums.items(), degrees):
-        for i, e in key[family]:
-            c *= values[i] ** e
-        image = (key[0], (), deg) if family else ((), (), key[2])
-        pairs.append((image, c * scale[deg]))
+    for key, c in p.nums.items():
+        units = key[family]
+        for i in units:
+            c *= values[i]
+        image = (key[0], (), len(units)) if family else ((), (), key[2])
+        pairs.append((image, c * scale[len(units)]))
     return MultiPoly.from_pair(accumulate({}, pairs), p.den * d**top)
 
 

@@ -204,8 +204,7 @@ def _check_fdbu(order: int, rng: Random) -> str:
     for trial in range(trials):
         a = random_series(rng, order)
         b = random_delta(rng, order)
-        img = lhs.map(lambda q: to_univar(specialize_y(specialize_x(q, b), a)))
-        _expect(img, composed_expansion(a, b, order), f"trial {trial}: ")
+        _expect(_chain_leg(lhs, a, b), composed_expansion(a, b, order), f"trial {trial}: ")
     return f"nested form matches at order {order}; {trials} random substitutions"
 
 

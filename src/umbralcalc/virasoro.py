@@ -31,11 +31,12 @@ annihilated variable is present contribute.
 Vectors are :class:`MultiPoly` pairs, integer numerators over one
 denominator, and the modes work on the numerators.  ``h(n)`` keeps the
 denominator for ``n > 0`` and multiplies it by ``(-n-1)!`` for ``n < 0``.
-``L(m)`` reads an integer unit table: the image of each unit monomial
-``x^xs`` is built once per ``(m, xs)`` as numerators over one unit
-denominator (a divisor of 2 for ``m >= 0``), and :func:`virasoro` puts every
-monomial's unit over the lcm of their denominators, so one call sums ints
-only.
+A monomial is keyed by its partition ``xs``, the sorted tuple of its
+``x_j``-indices with one entry per unit, so its weight is ``1/2 + sum(xs)``.
+``L(m)`` reads an integer unit table keyed by ``(m, xs)``: each image is built
+once as numerators over one unit denominator (a divisor of 2 for ``m >= 0``),
+and :func:`virasoro` puts every monomial's unit over the lcm of their
+denominators, so one call sums ints only.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
 from .errors import IndexOutOfRange, NotHomogeneous
-from .polyring import MultiPoly, accumulate, fock_key, fock_nums, shift_exps
+from .polyring import MultiPoly, accumulate, fock_key, fock_nums, unit_moves
 from .series import TruncatedSeries, _scaled, as_rational
 from .umbral import attached_sum, basis_coordinates, power_table
 from .univar import UnivarPoly
@@ -73,16 +75,16 @@ def heisenberg(n: int, p: FockPoly) -> FockPoly:
     if n == 0:
         return p
     if n < 0:
-        images = {fock_key(shift_exps(xs, (-n, 1))): c for xs, c in terms}
+        images = {fock_key(tuple(sorted(xs + (-n,)))): c for xs, c in terms}
         return MultiPoly.from_pair(images, p.den * math.factorial(-n - 1))
     scale = math.factorial(n)
-    pairs = ((xs, c * e * scale) for xs, c in terms for j, e in xs if j == n)
-    return MultiPoly.from_pair({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs}, p.den)
+    pairs = ((xs, xs.index(n), c * xs.count(n) * scale) for xs, c in terms if n in xs)
+    return MultiPoly.from_pair({fock_key(xs[:k] + xs[k + 1 :]): v for xs, k, v in pairs}, p.den)
 
 
 @lru_cache(maxsize=None)
 def _virasoro_unit(m: int, xs: tuple) -> tuple:
-    """``L(m)`` of the unit monomial with exponent tuple ``xs``, as
+    """``L(m)`` of the unit monomial with partition ``xs``, as
     ``(((key, numerator), ...), den)`` with distinct keys; every coefficient of
     the normal-ordered form is positive, so none cancels.
 
@@ -91,31 +93,33 @@ def _virasoro_unit(m: int, xs: tuple) -> tuple:
     ``xs``), which every ``div`` below divides, and the pair is reduced once."""
     fact = math.factorial
     if m == 0:
-        return ((fock_key(xs), 1 + 2 * sum(j * e for j, e in xs)),), 2
-    den = 2 if m > 0 else 2 * fact(max((k for k, _ in xs), default=0) - m - 1)
-    exps = dict(xs)
+        return ((fock_key(xs), 1 + 2 * sum(xs)),), 2
+    den = 2 if m > 0 else 2 * fact(max(xs, default=0) - m - 1)
+    exps = Counter(xs)  # the (index, exponent) pairs
     pairs = []
 
-    def bump(num: int, div: int, *delta: tuple) -> None:
-        pairs.append((fock_key(shift_exps(xs, *delta)), den * num // div))
+    def bump(num: int, div: int, drop: tuple = (), add: tuple = ()) -> None:
+        units = [*xs, *add]
+        for k in drop:
+            units.remove(k)
+        pairs.append((fock_key(tuple(sorted(units))), den * num // div))
 
-    if m > 0:  # h(m)
-        if exps.get(m):
-            bump(fact(m) * exps[m], 1, (m, -1))
-    else:
-        bump(1, fact(-m - 1), (-m, 1))
-    for k, e in xs:  # h(m-k) h(k) with k > max(0, m): x_k -> x_(k-m)
+    if m < 0:  # h(m)
+        bump(1, fact(-m - 1), (), (-m,))
+    elif exps[m]:
+        bump(fact(m) * exps[m], 1, (m,))
+    for k, e in exps.items():  # h(m-k) h(k) with k > max(0, m): x_k -> x_(k-m)
         if k > m:
-            bump(fact(k) * e, fact(k - m - 1), (k, -1), (k - m, 1))
-    for k, e in xs:  # (1/2) h(m-k) h(k) with 0 < k < m: remove x_k, x_(m-k)
+            bump(fact(k) * e, fact(k - m - 1), (k,), (k - m,))
+    for k, e in exps.items():  # (1/2) h(m-k) h(k) with 0 < k < m: remove x_k, x_(m-k)
         j = m - k
         if 0 < j:
-            rest = e - 1 if j == k else exps.get(j, 0)
+            rest = e - 1 if j == k else exps[j]
             if rest:
-                bump(fact(k) * e * fact(j) * rest, 2, (k, -1), (j, -1))
+                bump(fact(k) * e * fact(j) * rest, 2, (k, j))
     for a in range(1, -m):  # (1/2) h(m-k) h(k) with m < k < 0: add x_a, x_(-m-a)
         b = -m - a
-        bump(1, 2 * fact(a - 1) * fact(b - 1), (a, 1), (b, 1))
+        bump(1, 2 * fact(a - 1) * fact(b - 1), (), (a, b))
     acc = accumulate({}, pairs)
     g = math.gcd(den, *acc.values())
     return tuple((key, v // g) for key, v in acc.items()), den // g
@@ -137,7 +141,7 @@ def weight(p: FockPoly) -> Fraction:
     terms = fock_nums(p)
     if not terms:
         raise NotHomogeneous("the zero vector has no weight")
-    weights = {_HALF + sum(j * e for j, e in xs) for xs, _ in terms}
+    weights = {_HALF + sum(xs) for xs, _ in terms}
     if len(weights) != 1:
         raise NotHomogeneous(f"mixed weights {sorted(weights)}")
     return weights.pop()
@@ -148,9 +152,8 @@ def fock_derivation(p: FockPoly) -> FockPoly:
     along implicitly); must coincide with ``L(-1)``."""
     pairs = []
     for xs, c in fock_nums(p):
-        pairs.append((fock_key(shift_exps(xs, (1, 1))), c))
-        for j, e in xs:
-            pairs.append((fock_key(shift_exps(xs, (j, -1), (j + 1, 1))), c * e))
+        pairs.append((fock_key((1,) + xs), c))
+        pairs += [(fock_key(moved), c * e) for moved, e in unit_moves(xs)]
     return MultiPoly.from_pair(accumulate({}, pairs), p.den)
 
 
@@ -168,18 +171,17 @@ def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
         return
     for j in range(min(total, max_part), 0, -1):
         for rest in _partitions(total - j, j):
-            yield (j,) + rest
+            yield rest + (j,)
 
 
 def basis_monomials(max_degree: int) -> list[FockPoly]:
     """All monomials with ``sum j * e_j <= max_degree`` (weight up to
     ``max_degree + 1/2``), in a fixed deterministic order."""
-    out = []
-    for total in range(max_degree + 1):
-        for part in _partitions(total, total):
-            xs = shift_exps((), *((j, 1) for j in part))
-            out.append(MultiPoly.from_pair({fock_key(xs): 1}, 1))
-    return out
+    return [
+        MultiPoly.from_pair({fock_key(part): 1}, 1)
+        for total in range(max_degree + 1)
+        for part in _partitions(total, total)
+    ]
 
 
 # -- ladder coefficients -----------------------------------------------------
@@ -189,7 +191,6 @@ def basis_monomials(max_degree: int) -> list[FockPoly]:
 _LADDER_ROWS: dict[int, list[Fraction]] = {}
 
 
-@lru_cache(maxsize=None)
 def ladder_value(m: int, n: int) -> Fraction:
     """``f_m(n)`` from the recurrence ``f_m(n) = f_m(n-1) + (m+1) f_(m-1)(n-1)``
     with boundary ``f_(-1)(n) = 1``, ``f_0(0) = 1/2``, ``f_m(0) = 0`` for m >= 1.
@@ -203,13 +204,14 @@ def ladder_value(m: int, n: int) -> Fraction:
         raise IndexOutOfRange(f"ladder column index must be >= 0, got {n}")
     if m == -1:
         return Fraction(1)
-    below = None
-    for r in range(m + 1):
-        row = _LADDER_ROWS.setdefault(r, [_HALF if r == 0 else _ZERO])
-        for k in range(len(row), n - (m - r) + 1):
-            row.append(row[k - 1] + (r + 1) * (below[k - 1] if r else 1))
-        below = row
-    return below[n]
+    if n >= len(_LADDER_ROWS.get(m, ())):
+        below = None
+        for r in range(m + 1):
+            row = _LADDER_ROWS.setdefault(r, [_HALF if r == 0 else _ZERO])
+            for k in range(len(row), n - (m - r) + 1):
+                row.append(row[k - 1] + (r + 1) * (below[k - 1] if r else 1))
+            below = row
+    return _LADDER_ROWS[m][n]
 
 
 def ladder_closed(m: int, n: Scalar) -> Fraction:

@@ -117,11 +117,16 @@ def _patch_derivation_step(mp):
     def mutant(terms):
         out = step(terms)
         for key in out:
-            if sum(e for _, e in key[1]) == 3:
+            if len(key[1]) == 3:
                 out[key] += 1
         return out
 
     mp.setattr(polyring, "_derive", mutant)
+
+
+def _moves_off_by_one(fn):
+    """Every unit move of ``D`` and ``fock_derivation`` carries one unit too many."""
+    return lambda t: [(moved, e + 1) for moved, e in fn(t)]
 
 
 def _specialize_x_off_at_x3(fn):
@@ -186,6 +191,10 @@ MUTANTS = {
         ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
     ),
     "derivation step": (_patch_derivation_step, ("AUTOMORPHISM", "FDBU", "ADJNEW")),
+    "unit_moves": (
+        lambda mp: _patch_everywhere(mp, polyring, "unit_moves", _moves_off_by_one),
+        ("AUTOMORPHISM", "FDBU", "ADJNEW", "LM1-EQ-D"),
+    ),
     "specialize_x": (
         lambda mp: _patch_everywhere(mp, polyring, "specialize_x", _specialize_x_off_at_x3),
         ("FDBU", "ADJNEW", "UMBVIR"),

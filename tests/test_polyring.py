@@ -24,13 +24,17 @@ from umbralcalc.polyring import (
     specialize_fock,
     specialize_x,
     specialize_y,
-    shift_exps,
     to_univar,
+    unit_moves,
 )
 from umbralcalc.sampling import random_delta, random_multipoly, random_series, rng_for
-from umbralcalc.series import TruncatedSeries, exp_t
+from umbralcalc.series import TruncatedSeries, _scaled, exp_t
 from umbralcalc.umbral import composed_expansion
 from umbralcalc.univar import UnivarPoly
+from umbralcalc.virasoro import basis_monomials
+
+import pair_keys
+from pair_keys import index_family, index_key, pair_family, pair_key, shift_exps, to_pairs
 
 F = Fraction
 
@@ -65,6 +69,22 @@ def test_shift_exps():
     assert shift_exps((), *((j, 1) for j in (3, 1, 1))) == ((1, 2), (3, 1))
     with pytest.raises(ValueError):
         shift_exps(((1, 1),), (1, -2))
+    # the same monomials as index keys, one entry per unit
+    assert index_family(((1, 2), (3, 1))) == (1, 1, 3)
+    assert pair_family((1, 1, 3)) == ((1, 2), (3, 1))
+    assert (X(3) * X(1) * X(1) * Y(0)).nums == {((0,), (1, 1, 3), 0): 1}
+
+
+def test_unit_moves():
+    assert unit_moves(()) == []
+    assert unit_moves((2, 2)) == [((2, 3), 2)]
+    assert unit_moves((1, 1, 3)) == [((1, 2, 3), 2), ((1, 1, 4), 1)]
+    assert unit_moves((-1, 0, 0)) == [((0, 0, 0), 1), ((-1, 0, 1), 2)]
+    for p in basis_monomials(10):
+        ((_, xs, _),) = p.nums
+        exps = pair_family(xs)
+        steps = [(index_family(pair_keys._step(exps, n)), e) for n, (_, e) in enumerate(exps)]
+        assert unit_moves(xs) == steps
 
 
 # -- the derivation ------------------------------------------------------------
@@ -292,9 +312,10 @@ def test_multipoly_rejects_floats(build):
 
 
 def test_multipoly_coefficients_are_fractions():
-    p = MultiPoly({((), (), 0): 3, ((), ((1, 1),), 0): F(1, 2)})
+    p = MultiPoly({((), (), 0): 3, ((), (1,), 0): F(1, 2)})
     assert all(type(c) is Fraction for c in p.terms.values())
     assert MultiPoly.const(2).coefficient(((), (), 0)) == 2
+    assert (X(2) ** 3 * Y(-1) * F(1, 3)).coefficient(((-1,), (2, 2, 2), 0)) == F(1, 3)
 
 
 # -- the stored pair: integer numerators over one denominator ------------------------
@@ -302,7 +323,7 @@ def test_multipoly_coefficients_are_fractions():
 
 # keys over y_-1, y_0, y_2, x_1, x_3 and the plain x, up to degree 2 in each family
 _KEYS = [
-    (((i, a),) if a else (), ((j, b),) if b else (), px)
+    ((i,) * a, (j,) * b, px)
     for i in (-1, 0, 2)
     for a in (0, 1, 2)
     for j in (1, 3)
@@ -322,13 +343,13 @@ def _fraction_add(p, q):
 
 
 def _fraction_mul(p, q):
-    """``p * q`` with one ``Fraction`` product per pair of terms."""
+    """``p * q`` with one ``Fraction`` product per pair of terms, on pair keys."""
     products = (
         ((shift_exps(k1[0], *k2[0]), shift_exps(k1[1], *k2[1]), k1[2] + k2[2]), v1 * v2)
-        for k1, v1 in p.terms.items()
-        for k2, v2 in q.terms.items()
+        for k1, v1 in to_pairs(p).terms.items()
+        for k2, v2 in to_pairs(q).terms.items()
     )
-    return accumulate({}, products)
+    return {index_key(k): v for k, v in accumulate({}, products).items()}
 
 
 def _canonical(p):
@@ -359,9 +380,75 @@ def test_equal_values_have_equal_pairs_and_hashes(p, q):
 
 
 def test_pair_is_reduced_and_terms_keep_their_values():
-    half = MultiPoly({((), (), 0): F(1, 2), ((), ((1, 1),), 0): F(3, 4)})
-    assert (half.nums, half.den) == ({((), (), 0): 2, ((), ((1, 1),), 0): 3}, 4)
+    half = MultiPoly({((), (), 0): F(1, 2), ((), (1,), 0): F(3, 4)})
+    assert (half.nums, half.den) == ({((), (), 0): 2, ((), (1,), 0): 3}, 4)
     doubled = half * 2
-    assert (doubled.nums, doubled.den) == ({((), (), 0): 2, ((), ((1, 1),), 0): 3}, 2)
-    assert doubled.terms == {((), (), 0): F(1), ((), ((1, 1),), 0): F(3, 2)}
+    assert (doubled.nums, doubled.den) == ({((), (), 0): 2, ((), (1,), 0): 3}, 2)
+    assert doubled.terms == {((), (), 0): F(1), ((), (1,), 0): F(3, 2)}
     assert (half + half) == doubled and (half - half) == MultiPoly.zero()
+
+
+# -- index-tuple keys against the pair-keyed ring ------------------------------------
+
+
+def _monomials(max_factors):
+    """Products of the public generators: ``y_i``, ``x_j`` and the plain ``x``."""
+    factor = st.one_of(
+        st.integers(-2, 4).map(Y), st.integers(1, 5).map(X), st.just(MultiPoly.plain_x())
+    )
+    return st.lists(factor, max_size=max_factors).map(
+        lambda fs: math.prod(fs, start=MultiPoly.one())
+    )
+
+
+def _ring_polys(plain=True):
+    mono = _monomials(5)
+    if not plain:
+        mono = mono.filter(lambda m: not m.uses_plain_x)
+    term = st.tuples(mono, st.fractions(-20, 20, max_denominator=9))
+    return st.lists(term, max_size=5).map(
+        lambda ts: sum((m * c for m, c in ts), MultiPoly.const(0))
+    )
+
+
+def _same_as_pairs(p, oracle):
+    """``p`` prints, compares and sorts as the pair-keyed ``oracle`` does."""
+    assert to_pairs(p) == oracle
+    assert pair_keys.from_pairs(oracle) == p
+    assert str(p) == pair_keys.to_str(oracle)
+    assert [pair_key(k) for k, _ in p.sorted_terms()] == sorted(oracle.nums)
+    assert all(list(k[0]) == sorted(k[0]) and list(k[1]) == sorted(k[1]) for k in p.nums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_ring_polys(), q=_ring_polys())
+def test_index_keys_match_the_pair_oracle_on_products(p, q):
+    _same_as_pairs(p, to_pairs(p))
+    _same_as_pairs(p * q, pair_keys.mul(to_pairs(p), to_pairs(q)))
+    assert (p == q) == (to_pairs(p) == to_pairs(q))
+    assert (p + q) == pair_keys.from_pairs(to_pairs(p) + to_pairs(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_ring_polys(plain=False), count=st.integers(0, 5))
+def test_index_keys_match_the_pair_oracle_on_derivation_levels(p, count):
+    levels = pair_keys.derivation_levels(to_pairs(p), count)
+    for got, want in zip(derivation_powers(p, count), levels, strict=True):
+        _same_as_pairs(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_ring_polys(plain=False), seed=st.integers(0, 10**6))
+def test_substitutions_match_the_pair_oracle(p, seed):
+    """Both substitutions of ``p`` and ``D^2 p`` against the pair-keyed
+    ``_substitute``, fed the same integer values over one denominator."""
+    rng = rng_for(seed, "substitute")
+    b, a = random_delta(rng, 8), random_series(rng, 8)
+    for q in (p, derivation_powers(p, 2)[2]):
+        values, d = _scaled([b.egf(j) for j in range(9)])
+        image = specialize_x(q, b)
+        _same_as_pairs(image, pair_keys._substitute(to_pairs(q), 1, values, d))
+        ys = sorted({i for key in image.nums for i in key[0]})
+        values, d = _scaled([a.egf(i) if i >= 0 else F(0) for i in ys])
+        expect = pair_keys._substitute(to_pairs(image), 0, dict(zip(ys, values)), d)
+        _same_as_pairs(specialize_y(image, a), expect)

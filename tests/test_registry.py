@@ -153,7 +153,7 @@ def test_heis_failure_detail(monkeypatch):
 
     def broken(n, p):  # h(-3) is 3/2 too large on vectors that contain x2
         out = real(n, p)
-        return out * F(3, 2) if n == -3 and any(2 in dict(k[1]) for k in p.terms) else out
+        return out * F(3, 2) if n == -3 and any(2 in k[1] for k in p.terms) else out
 
     monkeypatch.setattr(registry, "heisenberg", broken)
     res = registry.run_check("HEIS", 6, 0)

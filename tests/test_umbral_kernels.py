@@ -6,9 +6,11 @@ the power table ``composed_expansion`` and every umbral operation that reads
 it, ``F(d/dx)`` on polynomials, the derivation ``D`` with its powers and
 exponential, and the two substitutions.  ``functional_shift_oracle`` is the earlier derivation-ring
 route of the functional shift, which now reads the power table instead.
-The kernels must agree with them exactly, ``Fraction`` for ``Fraction``, and
-must raise the same exception type with the same message on every input
-outside their domain.
+The ring oracles read and write the earlier ``(index, exponent)`` pair keys,
+so they run through :func:`via_pairs`, which converts keys with
+``tests/pair_keys.py``.  The kernels must agree with them exactly,
+``Fraction`` for ``Fraction``, and must raise the same exception type with the
+same message on every input outside their domain.
 """
 
 import math
@@ -30,7 +32,6 @@ from umbralcalc.polyring import (
     derivation,
     derivation_powers,
     exp_derivation,
-    shift_exps,
     specialize_x,
     specialize_y,
     to_univar,
@@ -50,6 +51,8 @@ from umbralcalc.umbral import (
 )
 from umbralcalc.univar import UnivarPoly
 from umbralcalc.virasoro import ladder_value, mode_shift
+
+from pair_keys import from_pairs, shift_exps, to_pairs
 
 _ZERO = Fraction(0)
 Scalar = Union[int, Fraction]
@@ -181,7 +184,7 @@ def functional_shift_oracle(
             f"need both series to order {d + 1}; have {a.order} and {b.order}"
         )
     coords = attached_basis_expansion_oracle(b, p)
-    powers = derivation_powers_oracle(MultiPoly.y(0), d + 1)
+    powers = derivation_powers_oracle(to_pairs(MultiPoly.y(0)), d + 1)
     out = UnivarPoly.zero()
     for n, c in enumerate(coords):
         if c:
@@ -362,7 +365,13 @@ def exps(indices):
 def polys(y_indices=st.integers(-4, 6), x_indices=st.integers(1, 8), plain=st.just(0)):
     """Random ``MultiPoly`` with non-integral coefficients."""
     keys = st.tuples(exps(y_indices), exps(x_indices), plain)
-    return st.lists(st.tuples(keys, nonzero), max_size=8).map(lambda ps: MultiPoly(dict(ps)))
+    pair_keyed = st.lists(st.tuples(keys, nonzero), max_size=8).map(lambda ps: MultiPoly(dict(ps)))
+    return pair_keyed.map(from_pairs)
+
+
+def via_pairs(oracle):
+    """``oracle`` on pair keys, taking and returning index keys."""
+    return lambda *args: from_pairs(oracle(*[to_pairs(a) for a in args]))
 
 
 def outcome(fn, *args):
@@ -499,30 +508,30 @@ ring_polys = polys(plain=st.sampled_from([0] * 9 + [1]))
 @settings(max_examples=120, deadline=None)
 @given(ring_polys)
 def test_derivation_matches_fraction_loop(p):
-    same(derivation, derivation_oracle, p)
+    same(derivation, via_pairs(derivation_oracle), p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ring_polys, st.integers(0, 6))
 def test_derivation_powers_match_fraction_loop(p, count):
-    same(derivation_powers, derivation_powers_oracle, p, count)
+    same(derivation_powers, via_pairs(derivation_powers_oracle), p, count)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ring_polys, st.integers(0, 6))
 def test_exp_derivation_matches_fraction_loop(p, order):
-    same(exp_derivation, exp_derivation_oracle, p, order)
+    same(exp_derivation, via_pairs(exp_derivation_oracle), p, order)
 
 
 def test_exp_derivation_of_y0_matches_fraction_loop():
     for order in range(17):
-        same(exp_derivation, exp_derivation_oracle, MultiPoly.y(0), order)
+        same(exp_derivation, via_pairs(exp_derivation_oracle), MultiPoly.y(0), order)
 
 
 @settings(max_examples=150, deadline=None)
 @given(polys(plain=st.sampled_from([0] * 9 + [2])), substitutions)
 def test_specialize_x_matches_fraction_loop(p, b):
-    same(specialize_x, specialize_x_oracle, p, b)
+    same(specialize_x, via_pairs(specialize_x_oracle), p, b)
 
 
 extensions = st.one_of(
@@ -538,24 +547,24 @@ mixed_polys = st.one_of(y_polys, y_polys, y_polys, polys(plain=st.integers(0, 4)
 @settings(max_examples=200, deadline=None)
 @given(mixed_polys, series(), extensions)
 def test_specialize_y_matches_fraction_loop(p, a, ext):
-    same(specialize_y, specialize_y_oracle, p, a, ext)
+    same(specialize_y, via_pairs(specialize_y_oracle), p, a, ext)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series(min_order=7), deltas(7), extensions)
 def test_both_substitutions_of_exp_derivation(a, b, ext):
     for q in exp_derivation(MultiPoly.y(0), 7).coeffs:
-        same(specialize_x, specialize_x_oracle, q, b)
-        image = specialize_x_oracle(q, b)
-        same(specialize_y, specialize_y_oracle, image, a, ext)
+        same(specialize_x, via_pairs(specialize_x_oracle), q, b)
+        image = via_pairs(specialize_x_oracle)(q, b)
+        same(specialize_y, via_pairs(specialize_y_oracle), image, a, ext)
 
 
 def test_error_messages_are_unchanged():
     b = TruncatedSeries([0, 1, 2])
     p = MultiPoly.x(3) + MultiPoly.x(5) * MultiPoly.x(4)
-    assert outcome(specialize_x, p, b) == outcome(specialize_x_oracle, p, b)
+    assert outcome(specialize_x, p, b) == outcome(via_pairs(specialize_x_oracle), p, b)
     assert outcome(specialize_x, p, b)[0] is OrderTooSmall
     assert outcome(composed_expansion, b, TruncatedSeries([1, 1]), 1)[0] is NotDeltaSeries
     assert outcome(derivation, MultiPoly.plain_x())[0] is UnsupportedVariable
     q = MultiPoly.y(5) * MultiPoly.y(9)
-    assert outcome(specialize_y, q, b) == outcome(specialize_y_oracle, q, b)
+    assert outcome(specialize_y, q, b) == outcome(via_pairs(specialize_y_oracle), q, b)

@@ -19,7 +19,6 @@ from umbralcalc.polyring import (
     accumulate,
     fock_key,
     fock_terms,
-    shift_exps,
     specialize_fock,
     to_univar,
 )
@@ -46,6 +45,10 @@ from umbralcalc.virasoro import (
     virasoro,
     weight,
 )
+from umbralcalc.virasoro import _virasoro_unit
+
+import pair_keys
+from pair_keys import from_pairs, shift_exps, to_pairs
 
 F = Fraction
 X = MultiPoly.x
@@ -87,8 +90,8 @@ def test_heisenberg_rejects_foreign_variables():
 
 def _heisenberg_oracle(n, p):
     """The general-product ``h(n)``: ``h(n < 0)`` multiplies by the
-    ``MultiPoly`` ``x_(-n) / (-n-1)!``."""
-    terms = fock_terms(p)
+    ``MultiPoly`` ``x_(-n) / (-n-1)!``; ``h(n > 0)`` runs on pair keys."""
+    terms = fock_terms(to_pairs(p))
     if n == 0:
         return p
     if n < 0:
@@ -101,7 +104,7 @@ def _heisenberg_oracle(n, p):
         for j, e in xs
         if j == n
     ]
-    return MultiPoly(accumulate({}, pairs))
+    return from_pairs(MultiPoly(accumulate({}, pairs)))
 
 
 def test_heisenberg_matches_oracle_on_monomials():
@@ -119,7 +122,7 @@ def _virasoro_oracle(m, p):
     out = MultiPoly.zero()
     for key, coeff in p.terms.items():
         mono = MultiPoly({key: coeff})
-        indices = {j for j, _ in key[1]}
+        indices = set(key[1])
         if m == 0:
             total = mono * F(1, 2)
             for k in indices:
@@ -167,20 +170,22 @@ def test_heisenberg_matches_oracle_on_mixed_vectors(n, p):
 
 
 def _fraction_heisenberg(n, p):
-    """``h(n)`` with one ``Fraction`` per output term."""
-    terms = fock_terms(p)
+    """``h(n)`` with one ``Fraction`` per output term, on pair keys."""
+    terms = fock_terms(to_pairs(p))
     if n == 0:
         return p
     if n < 0:
         scale = Fraction(1, math.factorial(-n - 1))
-        return MultiPoly({fock_key(shift_exps(xs, (-n, 1))): c * scale for xs, c in terms})
+        return from_pairs(
+            MultiPoly({fock_key(shift_exps(xs, (-n, 1))): c * scale for xs, c in terms})
+        )
     scale = math.factorial(n)
     pairs = ((xs, c * e * scale) for xs, c in terms for j, e in xs if j == n)
-    return MultiPoly({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs})
+    return from_pairs(MultiPoly({fock_key(shift_exps(xs, (n, -1))): v for xs, v in pairs}))
 
 
 def _fraction_unit(m, xs):
-    """``L(m)`` of the unit monomial ``xs`` as ``(key, Fraction)`` pairs."""
+    """``L(m)`` of the unit monomial with pair-keyed ``xs`` as ``(key, Fraction)`` pairs."""
     if m == 0:
         return ((fock_key(xs), F(1, 2) + sum(j * e for j, e in xs)),)
     exps = dict(xs)
@@ -213,9 +218,9 @@ def _fraction_unit(m, xs):
 def _fraction_virasoro(m, p):
     """``L(m)`` summing ``Fraction`` unit images monomial by monomial."""
     acc = {}
-    for xs, c in fock_terms(p):
+    for xs, c in fock_terms(to_pairs(p)):
         accumulate(acc, ((image, c * v) for image, v in _fraction_unit(m, xs)))
-    return MultiPoly(acc)
+    return from_pairs(MultiPoly(acc))
 
 
 @settings(max_examples=80, deadline=None)
@@ -234,6 +239,42 @@ def test_integer_modes_match_the_fraction_kernels_on_monomials():
         for m in range(-6, 7):
             assert virasoro(m, p) == _fraction_virasoro(m, p), (m, p)
             assert heisenberg(m, p) == _fraction_heisenberg(m, p), (m, p)
+
+
+# -- index-tuple keys against the pair-keyed Fock space -----------------------------
+
+
+def test_monomials_are_partitions_and_match_the_pair_oracle():
+    assert [next(iter(p.nums))[1] for p in basis_monomials(4)] == [
+        (), (1,), (2,), (1, 1), (3,), (1, 2), (1, 1, 1),
+        (4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1),
+    ]  # the enumeration order of the pair-keyed basis
+    seen = set()
+    for p in basis_monomials(10):
+        ((ys, xs, px),) = p.nums
+        exps = pair_keys.pair_family(xs)
+        assert ys == () and px == 0 and list(xs) == sorted(xs) and xs not in seen
+        seen.add(xs)
+        assert weight(p) == F(1, 2) + sum(j * e for j, e in exps)
+        for m in range(-6, 7):
+            pairs, den = _virasoro_unit(m, xs)
+            expect, expect_den = pair_keys.virasoro_unit(m, exps)
+            assert den == expect_den
+            assert [(pair_keys.pair_key(k), v) for k, v in pairs] == list(expect)
+        assert to_pairs(fock_derivation(p)) == pair_keys.fock_derivation(to_pairs(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(-6, 6), p=_fock_vectors)
+def test_modes_match_the_pair_oracle(m, p):
+    q = to_pairs(p)
+    for image, expect in (
+        (virasoro(m, p), pair_keys.virasoro(m, q)),
+        (heisenberg(m, p), pair_keys.heisenberg(m, q)),
+        (fock_derivation(p), pair_keys.fock_derivation(q)),
+    ):
+        assert to_pairs(image) == expect
+        assert str(image) == pair_keys.to_str(expect)
 
 
 def test_lowest_weight_half():
