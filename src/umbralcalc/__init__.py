@@ -50,7 +50,6 @@ from .umbral import (
 )
 from .univar import UnivarPoly, exp_w_ddx
 from .virasoro import (
-    FTable,
     basis_monomials,
     binom_general,
     fock_derivation,

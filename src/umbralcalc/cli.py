@@ -31,7 +31,7 @@ from .errors import (
 from .series import TruncatedSeries
 from .umbral import attached_polynomial, pairing, umbral_operator
 from .univar import UnivarPoly
-from .virasoro import FTable, mode_shift
+from .virasoro import ladder_value, mode_shift
 
 GRAMMAR = dsl.GRAMMAR + (
     "polynomial arguments: comma-separated rationals, low degree first (e.g. 0,1,3/2)\n"
@@ -44,9 +44,9 @@ MAX_DIGITS = 100_000
 # Largest truncation order a command accepts: ``--order`` is refused before
 # any work, and a series order that ``--n``, ``--m`` or the degree of ``--p``
 # implies before the series is built.  Past order 28 the cost grows
-# steeply: ``verify --id ALL`` takes about 2.5 minutes of CPU at order 40 (FAA
-# and ADJNEW about 1 minute each), and ``bell`` needs seconds at order 100 and
-# over a minute at order 150.
+# steeply: ``verify --id ALL`` takes about 80 s of CPU at order 40 (ADJNEW 35 s,
+# FAA 25 s, FDBU 16 s; one process on a 2-core Xeon VM, Python 3.11), and
+# ``bell`` needs seconds at order 100 and over a minute at order 150.
 MAX_ORDER = 40
 
 # Largest ``--max-m`` and ``--max-n`` of ``fmn-table``, refused before any
@@ -102,16 +102,19 @@ def _texts(values: Sequence[Fraction]) -> list[str]:
         raise ResultTooLarge(f"a result has more than {MAX_DIGITS} digits") from None
 
 
+def _csv(rows) -> str:
+    """The rows as CSV text, each line ending in a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _values_report(values: Sequence[Fraction], label: str, fmt: str) -> str:
     texts = _texts(values)
     if fmt == "json":
         return json.dumps({label: texts}) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", label])
-        writer.writerows(enumerate(texts))
-        return buf.getvalue()
+        return _csv([("n", label), *enumerate(texts)])
     return " ".join(texts) + "\n"
 
 
@@ -129,6 +132,19 @@ def _scalar_report(value: Fraction, label: str, fmt: str) -> str:
     return f"{text}\n"
 
 
+def _table_report(max_m: int, max_n: int, fmt: str) -> str:
+    """The ladder values ``f_m(n)`` for ``-1 <= m <= max_m``, ``0 <= n <= max_n``."""
+    rows = {
+        str(m): _texts([ladder_value(m, n) for n in range(max_n + 1)])
+        for m in range(-1, max_m + 1)
+    }
+    if fmt == "json":
+        return json.dumps({"max_m": max_m, "max_n": max_n, "rows": rows}, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv([("m", *range(max_n + 1)), *((m, *row) for m, row in rows.items())])
+    return "".join(f"m={m:>2}: {' '.join(row)}\n" for m, row in rows.items())
+
+
 def _verify_report(results, order: int, seed: int, fmt: str) -> str:
     if fmt == "json":
         payload = {
@@ -142,12 +158,8 @@ def _verify_report(results, order: int, seed: int, fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tag", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.tag, "pass" if r.passed else "FAIL", r.detail])
-        return buf.getvalue()
+        rows = [(r.tag, "pass" if r.passed else "FAIL", r.detail) for r in results]
+        return _csv([("tag", "passed", "detail"), *rows])
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.tag}: {r.detail}" for r in results
     ]
@@ -156,12 +168,19 @@ def _verify_report(results, order: int, seed: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
+def _emit(text: str, output: Optional[str], code: int) -> int:
+    """Write the report and return the exit code: ``code``, or 2 if ``output``
+    cannot be written."""
+    if not output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {output}: {exc.strerror or exc}\n")
+        return 2
+    return code
 
 
 def _build_parser() -> _ArgumentParser:
@@ -244,15 +263,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for flag, bound in (("--max-m", opts.max_m), ("--max-n", opts.max_n)):
                 if bound > MAX_TABLE:
                     raise OrderTooLarge(f"{flag} {bound} exceeds the ceiling MAX_TABLE = {MAX_TABLE}")
-            table = FTable(opts.max_m, opts.max_n)
-            if opts.format == "json":
-                text = table.to_json()
-            elif opts.format == "csv":
-                text = table.to_csv()
-            else:
-                text = "\n".join(
-                    f"m={m:>2}: " + " ".join(str(v) for v in row) for m, row in table.rows()
-                ) + "\n"
+            if opts.max_m < -1 or opts.max_n < 0:
+                raise IndexOutOfRange("table bounds must cover m >= -1, n >= 0")
+            text = _table_report(opts.max_m, opts.max_n, opts.format)
         elif opts.command == "pair":
             p = _parse_poly(opts.poly)
             a = _series_arg(opts.a_expr, max(p.degree, 0, opts.order or 0))
@@ -284,8 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n{GRAMMAR}")
         return 2
-    _emit(text, opts.output)
-    return code
+    return _emit(text, opts.output, code)
 
 
 if __name__ == "__main__":

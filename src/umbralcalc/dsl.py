@@ -10,14 +10,15 @@ Nothing recurses, so nesting depth is bounded only by the input's length.
 ``parse`` is one operator-precedence loop over two stacks (Dijkstra's
 shunting-yard): ``vals`` holds finished nodes and ``ops`` the pending
 operators, open parentheses and function names.  ``eval_expr`` and
-``to_text`` are one post-order walk, ``_fold``, over an explicit stack.
+``to_text`` are one post-order walk, ``_fold``, over an explicit stack; a
+node's ``==``, ``hash`` and ``repr`` walk the same way.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -105,43 +106,79 @@ class EvalError(ValueError):
 # -- abstract syntax ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
+class _Node:
+    """Compared and hashed by ``_key``, one flat post-order tuple that leaves
+    the spans out, and printed as the dataclass ``repr`` in one pass, so that
+    no depth of tree recurses.  A node's ``vars`` are its fields in order, and
+    its children are the fields that hold nodes."""
+
+    def _key(self) -> tuple:
+        """Each node's class and fields other than its children and span, in
+        post-order; every class has a fixed arity, so this fixes the tree."""
+        key = []
+        for node, _ in _postorder(self):
+            labels = [v for k, v in vars(node).items() if k != "span" and not isinstance(v, _Node)]
+            key.append((type(node), *labels))
+        return tuple(key)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]  # a node still to print, or finished text
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, (name, value) in enumerate(vars(item).items()):
+                parts.append(", " * (i > 0) + f"{name}=")
+                parts.append(value if isinstance(value, _Node) else repr(value))
+            todo += reversed([*parts, ")"])
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Literal(_Node):
     value: Fraction
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+    span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Var:
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
+    span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     arg: object
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+    span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
     op: str
     left: object
     right: object
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+    span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Power:
+@dataclass(frozen=True, eq=False, repr=False)
+class Power(_Node):
     base: object
     exponent: int
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+    span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     arg: object
-    span: tuple[int, int] = field(compare=False, default=(0, 0))
+    span: tuple[int, int] = (0, 0)
 
 
 # -- lexer -------------------------------------------------------------------
@@ -298,24 +335,25 @@ def _power_bits(base: TruncatedSeries, n: int) -> int:
     return n * lead + base.order * (top + (n + base.order).bit_length())
 
 
-def _fold(node, step):
-    """``step(node, *results of its children)`` for every node, children first
-    and left to right, over an explicit stack; the root's result is returned."""
+def _postorder(node) -> list:
+    """``(node, number of children)`` for every node, children first and left
+    to right, listed over an explicit stack."""
     nodes, todo = [], [node]
     while todo:  # pre-order, right child first: reversed, it is the post-order
         node = todo.pop()
-        if isinstance(node, BinOp):
-            kids = (node.left, node.right)
-        elif isinstance(node, Power):
-            kids = (node.base,)
-        elif isinstance(node, (Neg, Call)):
-            kids = (node.arg,)
-        else:
-            kids = ()
+        fields = vars(node).values() if isinstance(node, _Node) else ()
+        kids = [v for v in fields if isinstance(v, _Node)]
         nodes.append((node, len(kids)))
         todo.extend(kids)
+    nodes.reverse()
+    return nodes
+
+
+def _fold(node, step):
+    """``step(node, *results of its children)`` for every node in post-order;
+    the root's result is returned."""
     done = []
-    for node, arity in reversed(nodes):
+    for node, arity in _postorder(node):
         cut = len(done) - arity  # the children's results end ``done``
         done[cut:] = [step(node, *done[cut:])]
     return done[0]

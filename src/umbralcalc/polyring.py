@@ -164,10 +164,9 @@ class MultiPoly:
         return cls({_EMPTY_KEY: as_rational(value)})
 
     @classmethod
-    def y(cls, i: int, floor: Optional[int] = None) -> "MultiPoly":
-        limit = Y_INDEX_FLOOR if floor is None else floor
-        if i < limit:
-            raise IndexOutOfRange(f"y-index {i} below floor {limit}")
+    def y(cls, i: int) -> "MultiPoly":
+        if i < Y_INDEX_FLOOR:
+            raise IndexOutOfRange(f"y-index {i} below floor {Y_INDEX_FLOOR}")
         return cls.from_pair({((i,), (), 0): 1}, 1)
 
     @classmethod

@@ -42,19 +42,16 @@ def random_poly(rng: random.Random, degree: int) -> UnivarPoly:
     return UnivarPoly(coeffs)
 
 
-def random_multipoly(
-    rng: random.Random,
-    max_terms: int = 3,
-    y_range: tuple[int, int] = (-1, 2),
-    x_range: tuple[int, int] = (1, 3),
-) -> MultiPoly:
-    """A small sparse element of the derivation ring (no plain variables)."""
+def random_multipoly(rng: random.Random) -> MultiPoly:
+    """A small sparse element of the derivation ring (no plain variables): up
+    to three terms, each with up to two ``y_i`` (-1 <= i <= 2) and up to two
+    ``x_j`` (1 <= j <= 3)."""
     out = MultiPoly.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         term = MultiPoly.const(random_rational(rng, nonzero=True))
         for _ in range(rng.randint(0, 2)):
-            term = term * MultiPoly.y(rng.randint(*y_range))
+            term = term * MultiPoly.y(rng.randint(-1, 2))
         for _ in range(rng.randint(0, 2)):
-            term = term * MultiPoly.x(rng.randint(*x_range))
+            term = term * MultiPoly.x(rng.randint(1, 3))
         out = out + term
     return out

@@ -41,9 +41,6 @@ denominators, so one call sums ints only.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -228,47 +225,6 @@ def ladder_closed(m: int, n: Scalar) -> Fraction:
     for i in range(m):
         prod *= z - i
     return prod * (2 * z - m + 1) / 2
-
-
-class FTable:
-    """The rectangle of ladder values ``f_m(n)`` for ``-1 <= m <= max_m``,
-    ``0 <= n <= max_n``, built from the recurrence."""
-
-    def __init__(self, max_m: int, max_n: int):
-        if max_m < -1 or max_n < 0:
-            raise IndexOutOfRange("table bounds must cover m >= -1, n >= 0")
-        self.max_m = max_m
-        self.max_n = max_n
-        self.values = {
-            (m, n): ladder_value(m, n)
-            for m in range(-1, max_m + 1)
-            for n in range(max_n + 1)
-        }
-
-    def value(self, m: int, n: int) -> Fraction:
-        if not (-1 <= m <= self.max_m and 0 <= n <= self.max_n):
-            raise IndexOutOfRange(f"({m}, {n}) outside the table")
-        return self.values[(m, n)]
-
-    def rows(self) -> Iterator[tuple[int, list[Fraction]]]:
-        for m in range(-1, self.max_m + 1):
-            yield m, [self.values[(m, n)] for n in range(self.max_n + 1)]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m"] + [str(n) for n in range(self.max_n + 1)])
-        for m, row in self.rows():
-            writer.writerow([str(m)] + [str(v) for v in row])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "max_m": self.max_m,
-            "max_n": self.max_n,
-            "rows": {str(m): [str(v) for v in row] for m, row in self.rows()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 # -- generalized attached shifts ---------------------------------------------

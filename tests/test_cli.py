@@ -77,20 +77,47 @@ def test_shift_level_one(capsys):
     assert out == "0 4\n"  # f_1(2) B_1 = 4x
 
 
+_FMN_3_5_ROWS = (
+    ("-1", "1 1 1 1 1 1"),
+    ("0", "1/2 3/2 5/2 7/2 9/2 11/2"),
+    ("1", "0 1 4 9 16 25"),
+    ("2", "0 0 3 15 42 90"),
+    ("3", "0 0 0 12 72 240"),
+)
+
+
+def test_fmn_table_text(capsys):
+    code, out, err = run(capsys, "fmn-table", "--max-m", "3", "--max-n", "5")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"m={m:>2}: {row}\n" for m, row in _FMN_3_5_ROWS)
+
+
 def test_fmn_table_csv(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "fmn-table", "--max-m", "3", "--max-n", "5", "--format", "csv"
     )
-    assert code == 0
-    assert "1,0,1,4,9,16,25" in out.splitlines()
+    assert (code, err) == (0, "")
+    rows = "".join(f"{m},{row.replace(' ', ',')}\n" for m, row in _FMN_3_5_ROWS)
+    assert out == "m,0,1,2,3,4,5\n" + rows
 
 
 def test_fmn_table_json(capsys):
-    code, out, _ = run(
-        capsys, "fmn-table", "--max-m", "1", "--max-n", "3", "--format", "json"
+    code, out, err = run(
+        capsys, "fmn-table", "--max-m", "3", "--max-n", "5", "--format", "json"
     )
-    assert code == 0
-    assert json.loads(out)["rows"]["0"] == ["1/2", "3/2", "5/2", "7/2"]
+    assert (code, err) == (0, "")
+    rows = ",\n".join(
+        f'    "{m}": [\n' + ",\n".join(f'      "{v}"' for v in row.split()) + "\n    ]"
+        for m, row in _FMN_3_5_ROWS
+    )
+    assert out == '{\n  "max_m": 3,\n  "max_n": 5,\n  "rows": {\n' + rows + "\n  }\n}\n"
+    assert json.loads(out)["rows"]["0"] == ["1/2", "3/2", "5/2", "7/2", "9/2", "11/2"]
+
+
+def test_fmn_table_below_its_bounds_exits_two(capsys):
+    error = "error: table bounds must cover m >= -1, n >= 0\n"
+    for argv in (("--max-m", "-2"), ("--max-n", "-1")):
+        assert run(capsys, "fmn-table", *argv) == (2, "", error)
 
 
 def test_pair(capsys):
@@ -365,10 +392,10 @@ def test_order_past_the_ceiling_exits_two_with_one_line(capsys):
 
 
 def test_table_past_the_ceiling_exits_two_before_any_table(capsys, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("a table was built")
+    def no_value(*args):
+        raise AssertionError("a ladder value was computed")
 
-    monkeypatch.setattr(cli, "FTable", no_table)
+    monkeypatch.setattr(cli, "ladder_value", no_value)
     ceiling = f"exceeds the ceiling MAX_TABLE = {cli.MAX_TABLE}\n"
     for argv, flag, bound in (
         (("--max-m", "1000", "--max-n", "1000"), "--max-m", "1000"),
@@ -408,3 +435,12 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "1 1 2 5\n"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    for target, reason in (
+        (tmp_path, "Is a directory"),
+        (tmp_path / "missing" / "bell.txt", "No such file or directory"),
+    ):
+        code, out, err = run(capsys, "bell", "--order", "3", "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")

@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -265,8 +266,6 @@ def test_non_ascii_digits_are_syntax_errors():
 
 
 # -- no recursion ------------------------------------------------------------
-# Trees this deep are compared through to_text and series values: the
-# dataclass __eq__ and __repr__ of a node recurse.
 
 
 @pytest.mark.parametrize(
@@ -285,6 +284,28 @@ def test_deep_nesting_parses_prints_and_evaluates(text, coeffs):
     assert to_text(tree) == ("t" if text.startswith("((") else text)
     assert tree.span == (0, len(text))
     assert evaluate(text, 2).coeffs == tuple(map(F, coeffs))
+    twin = parse(text)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != parse(text.replace("t", "1", 1))
+    printed = repr(tree)
+    assert printed.startswith(f"{type(tree).__name__}(") and printed.endswith(f"span={tree.span})")
+
+
+def test_nodes_compare_without_spans_and_print_as_dataclasses():
+    tree = parse("-(1/2+t)^2*rev(exp(t)-1)")
+    assert repr(tree) == (
+        "BinOp(op='*', left=Neg(arg=Power(base=BinOp(op='+', left=Literal(value=Fraction(1, 2), "
+        "span=(2, 5)), right=Var(span=(6, 7)), span=(1, 8)), exponent=2, span=(1, 10)), "
+        "span=(0, 10)), right=Call(func='rev', arg=BinOp(op='-', left=Call(func='exp', "
+        "arg=Var(span=(19, 20)), span=(15, 21)), right=Literal(value=Fraction(1, 1), "
+        "span=(22, 23)), span=(15, 23)), span=(11, 24)), span=(0, 24))"
+    )
+    same = parse("(-((1/2)+t)^2*rev(exp(t)-1))")
+    assert tree == same and hash(tree) == hash(same)
+    for a, b in (("t+1", "t-1"), ("1/2", "1/3"), ("t^2", "t^3"), ("exp(t)", "log(t)"),
+                 ("t+1", "1+t"), ("-t", "t"), ("(t+t)+t", "t+(t+t)")):
+        assert parse(a) != parse(b)
+    assert Var() == Var(span=(3, 4)) and Var() != Literal(F(0))
 
 
 def test_deep_nesting_keeps_the_first_error():
@@ -473,6 +494,14 @@ def _recursive_fmt(node, context):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _recursive_repr(node):
+    """The text of the dataclass-generated ``repr``."""
+    if not isinstance(node, (Literal, Var, Neg, BinOp, Power, Call)):
+        return repr(node)
+    inner = ", ".join(f"{f.name}={_recursive_repr(getattr(node, f.name))}" for f in fields(node))
+    return f"{type(node).__name__}({inner})"
+
+
 def _outcome(call):
     """A call's value, or its error's type, message and located fields."""
     try:
@@ -509,6 +538,7 @@ def test_loop_parser_evaluator_and_printer_match_the_recursive_ones(text):
     if isinstance(old, tuple):
         assert new == old
         return
-    assert repr(new) == repr(old)
+    assert repr(new) == repr(old) == _recursive_repr(old)
+    assert new == old and hash(new) == hash(old)
     assert to_text(new) == _recursive_fmt(old, 0)
     assert _outcome(lambda: eval_expr(new, 4)) == _outcome(lambda: _recursive_eval(old, 4))

@@ -117,9 +117,9 @@ def test_derivation_rejects_plain_variables():
 
 
 def test_y_floor():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="y-index -5 below floor -4"):
         Y(-5)
-    assert Y(-5, floor=-6)  # explicit floor admits deeper indices
+    assert Y(-4)
     with pytest.raises(IndexOutOfRange):
         X(0)
 

@@ -1,6 +1,5 @@
 """The quadratic representation, ladder coefficients, and level shifts."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from umbralcalc.umbral import (
 )
 from umbralcalc.univar import UnivarPoly
 from umbralcalc.virasoro import (
-    FTable,
     basis_monomials,
     binom_general,
     fock_derivation,
@@ -414,34 +412,6 @@ def test_ladder_index_guards():
 def test_heuristic_cells_derivation_range():
     cells = heuristic_bracket_cells(3, 3, 10)
     assert all(ok for (l, m, n, ok) in cells if l + m <= n)
-
-
-# -- the value table -------------------------------------------------------------------
-
-
-def test_ftable_csv():
-    table = FTable(1, 5)
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "m,0,1,2,3,4,5"
-    assert lines[1] == "-1,1,1,1,1,1,1"
-    assert lines[2] == "0,1/2,3/2,5/2,7/2,9/2,11/2"
-    assert lines[3] == "1,0,1,4,9,16,25"
-
-
-def test_ftable_json_roundtrip():
-    table = FTable(2, 4)
-    payload = json.loads(table.to_json())
-    assert payload["max_m"] == 2
-    assert payload["rows"]["0"][0] == "1/2"
-    assert payload["rows"]["2"] == ["0", "0", "3", "15", "42"]
-
-
-def test_ftable_bounds():
-    table = FTable(2, 4)
-    with pytest.raises(IndexOutOfRange):
-        table.value(3, 0)
-    with pytest.raises(IndexOutOfRange):
-        table.value(1, 5)
 
 
 # -- level shifts -------------------------------------------------------------------
