@@ -1,5 +1,6 @@
 """The quadratic representation, ladder coefficients, and level shifts."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbralcalc import cli
 from umbralcalc.errors import (
     IndexOutOfRange,
     NotHomogeneous,
@@ -412,6 +414,29 @@ def test_ladder_index_guards():
 def test_heuristic_cells_derivation_range():
     cells = heuristic_bracket_cells(3, 3, 10)
     assert all(ok for (l, m, n, ok) in cells if l + m <= n)
+
+
+# -- the value table -------------------------------------------------------------------
+
+
+def test_ftable_csv(capsys):
+    code = cli.main(["fmn-table", "--max-m", "1", "--max-n", "5", "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "m,0,1,2,3,4,5"
+    assert lines[1] == "-1,1,1,1,1,1,1"
+    assert lines[2] == "0,1/2,3/2,5/2,7/2,9/2,11/2"
+    assert lines[3] == "1,0,1,4,9,16,25"
+
+
+def test_ftable_json_roundtrip(capsys):
+    code = cli.main(["fmn-table", "--max-m", "2", "--max-n", "4", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["max_m"] == 2
+    assert payload["rows"]["0"][0] == "1/2"
+    assert payload["rows"]["2"] == ["0", "0", "3", "15", "42"]
+    assert payload["rows"]["2"] == [str(ladder_value(2, n)) for n in range(5)]
 
 
 # -- level shifts -------------------------------------------------------------------
