@@ -5,6 +5,7 @@ representation whose modes generalize the umbral shift."""
 
 from .errors import (
     ConstantTermNotOne,
+    DomainError,
     IndexOutOfRange,
     InnerConstantTerm,
     NonzeroConstantTerm,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -19,15 +21,7 @@ from typing import Optional, Sequence
 from . import dsl, registry
 from .dsl import MAX_LITERAL_DIGITS, EvalError, ExprSyntaxError, check_literal, evaluate
 from .dsl import int_digit_limit
-from .errors import (
-    IndexOutOfRange,
-    LiteralTooLong,
-    NotDeltaSeries,
-    OrderTooLarge,
-    OrderTooSmall,
-    ResultTooLarge,
-    UnknownIdentityTag,
-)
+from .errors import DomainError, IndexOutOfRange, OrderTooLarge, OrderTooSmall, ResultTooLarge
 from .series import TruncatedSeries
 from .umbral import attached_polynomial, pairing, umbral_operator
 from .univar import UnivarPoly
@@ -168,6 +162,16 @@ def _verify_report(results, order: int, seed: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unwritable(output: str) -> Optional[str]:
+    """Why ``output`` cannot be opened, if that shows before any work is done:
+    it is a directory, or its parent directory does not exist.  No file is made."""
+    if os.path.isdir(output):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(os.path.dirname(output) or "."):
+        return os.strerror(errno.ENOENT)
+    return None
+
+
 def _emit(text: str, output: Optional[str], code: int) -> int:
     """Write the report and return the exit code: ``code``, or 2 if ``output``
     cannot be written."""
@@ -237,6 +241,9 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     opts = parser.parse_args(argv)
+    if opts.output and (reason := _unwritable(opts.output)):
+        sys.stderr.write(f"error: cannot write {opts.output}: {reason}\n")
+        return 2
     code = 0
     try:
         if opts.order is not None and opts.order < 0:
@@ -288,10 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = 0 if all(r.passed for r in results) else 1
         else:
             raise _UsageError(f"unknown command {opts.command!r}")
-    except (
-        UnknownIdentityTag, NotDeltaSeries, OrderTooSmall, IndexOutOfRange, ResultTooLarge,
-        LiteralTooLong, OrderTooLarge,
-    ) as exc:
+    except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _UsageError as exc:

@@ -44,9 +44,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import IndexOutOfRange, NotDeltaSeries, OrderTooSmall, UnsupportedVariable
+from .errors import IndexOutOfRange, OrderTooSmall, UnsupportedVariable
 from .genseries import GenSeries
-from .series import TruncatedSeries, _scaled, as_rational
+from .series import TruncatedSeries, _require_delta, _scaled, as_rational
 from .univar import UnivarPoly
 
 Scalar = Union[int, Fraction]
@@ -131,8 +131,8 @@ class MultiPoly:
         kv = (terms or {}).items()
         qs = {k: q for k, v in kv if (q := v if type(v) is Fraction else as_rational(v))}
         # lowest-terms values over the lcm of their denominators are coprime to it
-        self.den = math.lcm(*[q.denominator for q in qs.values()])
-        self.nums = {k: q.numerator * (self.den // q.denominator) for k, q in qs.items()}
+        nums, self.den = _scaled(list(qs.values()))
+        self.nums = dict(zip(qs, nums))
 
     @classmethod
     def from_pair(cls, nums: dict, den: int) -> "MultiPoly":
@@ -350,11 +350,6 @@ def exp_derivation(p: MultiPoly, order: int) -> GenSeries:
 
 
 # -- substitution homomorphisms ----------------------------------------------
-
-
-def _require_delta(b: TruncatedSeries) -> None:
-    if not b.is_delta:
-        raise NotDeltaSeries("substitution series must be delta")
 
 
 def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:

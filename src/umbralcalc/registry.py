@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
 from random import Random
 from typing import Callable, Optional
 
@@ -101,11 +100,8 @@ def _mismatch(a, b) -> Optional[str]:
             if msg:
                 return f"w^{k}, {msg}"
         return None
-    if isinstance(a, TruncatedSeries):
-        var, pairs = "t", zip(a.nums, b.nums)
-    else:
-        var, pairs = "x", zip_longest(a.nums, b.nums, fillvalue=0)
-    for k, (x, y) in enumerate(pairs):
+    var = "t" if isinstance(a, TruncatedSeries) else "x"
+    for k, (x, y) in enumerate(a._pairs(a.nums, b.nums)):  # as + pairs them
         if x * b.den != y * a.den:
             return f"{var}^{k}: {a.coeff(k)} != {b.coeff(k)}"
     return None

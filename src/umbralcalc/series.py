@@ -20,6 +20,9 @@ multiply-adds at order ``N`` (whose integers grow linearly in bits with
 and ``truncate`` take ``N``; ``*``, ``reciprocal``, ``exp_series`` and
 ``log_series`` (recurrences) ``N^2/2``; ``compose`` (Horner) ``N^3/6``; and
 ``reversion`` (Lagrange inversion, baby-step giant-step powers) ``N^2.5``.
+The series and :class:`~umbralcalc.univar.UnivarPoly` share every ring operation
+but the product (``_Pair``); each binds them by name in its own class namespace,
+which is where the benchmark's tracer looks a method up.
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ def _iinverse(cs: Sequence[int], order: int) -> list[int]:
 
 
 class _Pair:
-    """The canonical pair of a series and a ``UnivarPoly``; ``==`` compares
-    exact types, so a series never equals a polynomial with the same pair."""
+    """The canonical pair of a series and a ``UnivarPoly`` and their shared ring
+    operations: ``+``, ``-``, scalar ``*`` and ``/``, ``**`` and ``d/dx``.  A
+    subclass supplies ``_constant`` (what a scalar becomes), ``_pairs`` (how
+    ``+`` lines up coefficients) and ``_product``, and binds each operation by
+    name, so its own ``vars()`` holds it for the benchmark's tracer.  ``==``
+    compares exact types: a series never equals a polynomial with the same pair."""
 
     __slots__ = ("nums", "den")
 
@@ -134,6 +141,73 @@ class _Pair:
             else:
                 parts.append(f"{var}^{n}" if c == 1 else f"{c}*{var}^{n}")
         return " + ".join(parts) if parts else "0"
+
+    # -- shared ring operations ----------------------------------------------
+
+    def _coerce(self, other):
+        """``other`` as this type (a scalar becomes a constant), or None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._constant(other)
+        return None
+
+    def _add(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        # over lcm(dx, dy)
+        dx, dy = self.den, rhs.den
+        g = math.gcd(dx, dy)
+        fx, fy = dy // g, dx // g
+        pairs = self._pairs(self.nums, rhs.nums)
+        return self.from_pair([x * fx + y * fy for x, y in pairs], dx * fx)
+
+    def _neg(self):
+        return self.from_pair([-x for x in self.nums], self.den)
+
+    def _sub(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def _rsub(self, other):
+        return (-self) + other
+
+    def _mul(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return self.from_pair([x * q.numerator for x in self.nums], self.den * q.denominator)
+        return NotImplemented
+
+    def _div(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        q = Fraction(other)
+        if not q:
+            raise ZeroDivisionError("division by zero")
+        return self.from_pair([x * q.denominator for x in self.nums], self.den * q.numerator)
+
+    def _pow(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers take nonnegative integer exponents")
+        if n == 0:
+            return self._constant(1)
+        # binary powering from the base, never from one: square once per bit of n
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
+
+    def _derivative(self):
+        return self.from_pair([n * x for n, x in enumerate(self.nums)][1:], self.den)
 
 
 class TruncatedSeries(_Pair):
@@ -223,83 +297,29 @@ class TruncatedSeries(_Pair):
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> Optional["TruncatedSeries"]:
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.order)
-        return None
+    # bound by name in this class, where the benchmark tracer looks them up
+    __add__ = __radd__ = _Pair._add
+    __neg__, __sub__, __rsub__ = _Pair._neg, _Pair._sub, _Pair._rsub
+    __mul__ = __rmul__ = _Pair._mul
+    _pairs = zip  # + stops at the smaller order
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        # over lcm(dx, dy); zip stops at the smaller order
-        dx, dy = self.den, rhs.den
-        g = math.gcd(dx, dy)
-        fx, fy = dy // g, dx // g
-        return TruncatedSeries.from_pair(
-            [x * fx + y * fy for x, y in zip(self.nums, rhs.nums)], dx * fx
-        )
+    def _constant(self, value: Scalar) -> "TruncatedSeries":
+        return TruncatedSeries.constant(value, self.order)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries.from_pair([-x for x in self.nums], self.den)
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries.from_pair(
-                _iconv(self.nums, other.nums, n), self.den * other.den
-            )
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return TruncatedSeries.from_pair(
-                [x * q.numerator for x in self.nums], self.den * q.denominator
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        n = min(self.order, other.order)
+        return TruncatedSeries.from_pair(_iconv(self.nums, other.nums, n), self.den * other.den)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             return self * other.reciprocal()
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                raise ZeroDivisionError("series divided by zero")
-            return TruncatedSeries.from_pair(
-                [x * q.denominator for x in self.nums], self.den * q.numerator
-            )
-        return NotImplemented
+        return self._div(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
-        if n == 0:
-            return TruncatedSeries.one(self.order)
         low = next((k for k, x in enumerate(self.nums) if x), self.order + 1)
-        if low * n > self.order:  # t^low to the n-th is past the order
+        if isinstance(n, int) and low * n > self.order:  # t^low to the n-th is past the order
             return TruncatedSeries.zero(self.order)
-        # binary powering: square the base once per bit of n
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return self._pow(n)
 
     def agrees(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality up to the shared truncation order."""
@@ -314,9 +334,7 @@ class TruncatedSeries(_Pair):
     def derivative(self) -> "TruncatedSeries":
         if self.order < 1:
             raise OrderTooSmall("derivative of an order-0 series carries no data")
-        return TruncatedSeries.from_pair(
-            [n * x for n, x in enumerate(self.nums)][1:], self.den
-        )
+        return self._derivative()
 
     def egf_shift(
         self, n: int, extension: Optional[Mapping[int, Scalar]] = None
@@ -401,6 +419,12 @@ class TruncatedSeries(_Pair):
             # dq^k c / (k q_0^(2k-1)) over lcm q_0^(2n-1)
             out.append(dq**k * c * (lcm // k) * q0sq ** (n - k))
         return TruncatedSeries.from_pair(out, lcm * q[0] ** (2 * n - 1))
+
+
+def _require_delta(b: TruncatedSeries) -> None:
+    """Refuse a substitution series that is not :attr:`~TruncatedSeries.is_delta`."""
+    if not b.is_delta:
+        raise NotDeltaSeries("substitution series must be delta")
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:

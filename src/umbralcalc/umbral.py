@@ -34,8 +34,7 @@ from operator import mul
 
 from .errors import OrderTooSmall, UnknownIdentityTag
 from .genseries import GenSeries
-from .polyring import _require_delta
-from .series import TruncatedSeries, _iconv, exp_t, shift_multiplier
+from .series import TruncatedSeries, _iconv, _require_delta, exp_t, shift_multiplier
 from .univar import UnivarPoly
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -60,61 +61,19 @@ class UnivarPoly(_Pair):
             return Fraction(self.nums[n], self.den)
         return _ZERO
 
-    def _coerce(self, other):
-        if isinstance(other, UnivarPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UnivarPoly([other])
-        return None
+    # bound by name in this class, where the benchmark tracer looks them up
+    __add__ = __radd__ = _Pair._add
+    __neg__, __sub__, __rsub__ = _Pair._neg, _Pair._sub, _Pair._rsub
+    __mul__ = __rmul__ = _Pair._mul
+    __truediv__, __pow__, derivative = _Pair._div, _Pair._pow, _Pair._derivative
+    _pairs = partial(zip_longest, fillvalue=0)
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        g = math.gcd(self.den, rhs.den)
-        fx, fy = rhs.den // g, self.den // g
-        pairs = zip_longest(self.nums, rhs.nums, fillvalue=0)
-        return UnivarPoly.from_pair([x * fx + y * fy for x, y in pairs], self.den * fx)
+    def _constant(self, value: Scalar) -> "UnivarPoly":
+        return UnivarPoly([value])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnivarPoly.from_pair([-x for x in self.nums], self.den)
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, UnivarPoly):
-            ys = list(other.nums) + [0] * (len(self.nums) - 1)  # _iconv reads ys to the top
-            return UnivarPoly.from_pair(_iconv(self.nums, ys, len(ys) - 1), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return UnivarPoly.from_pair(
-                [x * q.numerator for x in self.nums], self.den * q.denominator
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers take nonnegative integer exponents")
-        out = UnivarPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def _product(self, other: "UnivarPoly") -> "UnivarPoly":
+        ys = list(other.nums) + [0] * (len(self.nums) - 1)  # _iconv reads ys to the top
+        return UnivarPoly.from_pair(_iconv(self.nums, ys, len(ys) - 1), self.den * other.den)
 
     def __str__(self) -> str:
         return self._terms("x")
@@ -125,9 +84,6 @@ class UnivarPoly(_Pair):
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    def derivative(self) -> "UnivarPoly":
-        return UnivarPoly.from_pair([n * x for n, x in enumerate(self.nums)][1:], self.den)
 
     def shift_argument(self, offset: Scalar) -> "UnivarPoly":
         """The polynomial ``p(x + offset)`` expanded binomially."""

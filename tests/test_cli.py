@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, determinism, file output."""
 
+import inspect
 import json
 import shlex
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from umbralcalc import cli
+from umbralcalc import DomainError, cli, errors
 from umbralcalc.dsl import MAX_POWER_BITS
 from umbralcalc.registry import MIN_ALL_ORDER, CheckResult
 from umbralcalc.series import TruncatedSeries
@@ -444,3 +445,35 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     ):
         code, out, err = run(capsys, "bell", "--order", "3", "--output", str(target))
         assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+
+
+def test_unwritable_output_is_refused_before_any_check(tmp_path, capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.registry, "run_all", no_checks)
+    for target, reason in (
+        (tmp_path, "Is a directory"),
+        (tmp_path / "missing" / "r.txt", "No such file or directory"),
+    ):
+        argv = ("verify", "--id", "ALL", "--order", "20", "--output", str(target))
+        assert run(capsys, *argv) == (2, "", f"error: cannot write {target}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []  # no file made
+    # what the early check cannot see is still reported once the report is written
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_unwritable", lambda output: None)
+    target = tmp_path / "missing" / "bell.txt"
+    code, out, err = run(capsys, "bell", "--order", "3", "--output", str(target))
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+
+
+def test_every_domain_error_exits_two_with_one_line(capsys, monkeypatch):
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)]
+    assert len(classes) >= 13 and all(issubclass(c, DomainError) for c in classes)
+
+    def unsupported(*args, **kwargs):
+        raise errors.UnsupportedVariable("a variable outside the domain")
+
+    monkeypatch.setattr(cli, "attached_polynomial", unsupported)
+    code, out, err = run(capsys, "umbral-seq", "--B", "t", "--n", "2")
+    assert (code, out, err) == (2, "", "error: a variable outside the domain\n")

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbralcalc import series
 from umbralcalc.series import TruncatedSeries, as_rational, exp_series, log_series
 
 _ZERO = Fraction(0)
@@ -254,7 +255,9 @@ def test_scalar_mul_div_match_fraction_loops(xs, q):
     a = TruncatedSeries(xs)
     exact(a * q, scale_oracle(xs, q))
     exact(q * a, scale_oracle(xs, q))
-    exact(a + q, add_oracle(xs, [Fraction(q)] + [_ZERO] * (len(xs) - 1)))
+    constant = [Fraction(q)] + [_ZERO] * (len(xs) - 1)
+    exact(a + q, add_oracle(xs, constant))
+    exact(q - a, sub_oracle(constant, xs))
     if q:
         exact(a / q, divide_oracle(xs, q))
     else:
@@ -300,6 +303,32 @@ def test_equal_values_have_equal_pairs_and_hashes():
     assert (-half).nums == (-2, -1) and (-half).den == 4
     assert ((half / -2).nums, (half / -2).den) == ((-2, -1), 8)
     assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])  # orders differ
+
+
+def test_powers_square_from_the_base(monkeypatch):
+    """``a ** n`` makes ``floor(log2 n)`` squarings and ``popcount(n) - 1``
+    products, none with the series 1; a power past the order makes none."""
+    calls, conv = [], series._iconv
+
+    def counted(*args):
+        calls.append(args)
+        return conv(*args)
+
+    monkeypatch.setattr(series, "_iconv", counted)
+    a = TruncatedSeries([1, Fraction(-1, 2), 3, Fraction(2, 7)], order=6)
+    powers = []
+    for n in range(17):
+        calls.clear()
+        powers.append(a**n)
+        assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+    for n, t in ((4, TruncatedSeries([0, 0, 1], order=6)), (3, TruncatedSeries.zero(6))):
+        calls.clear()
+        assert t**n == TruncatedSeries.zero(6) and not calls
+    monkeypatch.undo()
+    product = TruncatedSeries.one(6)
+    for n, power in enumerate(powers):
+        assert power == product, n
+        product = product * a
 
 
 def test_division_by_zero_and_floats_still_raise():
