@@ -4,7 +4,8 @@ A :class:`GenSeries` holds coefficients of ``w^0 .. w^N`` drawn from any
 commutative coefficient ring (multivariate polynomials, univariate
 polynomials, plain rationals, or even truncated series).  It is a light
 container: coefficient-level truncation bookkeeping stays with the
-coefficient type.
+coefficient type.  Coercion (a scalar is the constant expansion), ``-`` and
+``**`` come from ``series._Ring``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .errors import OrderTooSmall
+from .series import _Ring
 
-class GenSeries:
+
+class GenSeries(_Ring):
     """``sum p_k w^k + O(w^(N+1))`` with ring-valued coefficients ``p_k``."""
 
     __slots__ = ("coeffs",)
@@ -65,22 +69,17 @@ class GenSeries:
         inner = ", ".join(repr(c) for c in self.coeffs)
         return f"GenSeries([{inner}])"
 
-    def agrees(self, other: "GenSeries") -> bool:
-        """Coefficientwise equality up to the shared order in ``w``."""
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+    def _constant(self, value) -> "GenSeries":
+        return GenSeries.constant(self.coeffs[0] ** 0 * value, self.order)
 
     def __add__(self, other):
-        if not isinstance(other, GenSeries):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        n = min(self.order, other.order)
-        return GenSeries([a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+        # zip stops at the smaller order
+        return GenSeries([a + b for a, b in zip(self.coeffs, rhs.coeffs)])
 
-    def __sub__(self, other):
-        if not isinstance(other, GenSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return GenSeries([a - b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+    __radd__ = __add__
 
     def __neg__(self):
         return GenSeries([-c for c in self.coeffs])
@@ -106,18 +105,13 @@ class GenSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers take nonnegative integer exponents")
-        out = GenSeries.constant(self.coeffs[0] ** 0, self.order)
-        for _ in range(n):
-            out = out * self
-        return out
+    # bound by name in this class, where the benchmark tracer looks them up
+    __sub__, __rsub__, __pow__ = _Ring._sub, _Ring._rsub, _Ring._pow
 
     def differentiate(self) -> "GenSeries":
         """Formal derivative with respect to ``w``; order drops by one."""
         if self.order < 1:
-            raise ValueError("derivative of an order-0 expansion carries no data")
+            raise OrderTooSmall("derivative of an order-0 expansion carries no data")
         return GenSeries(
             [self.coeffs[k] * Fraction(k) for k in range(1, self.order + 1)]
         )

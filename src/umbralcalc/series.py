@@ -20,9 +20,12 @@ multiply-adds at order ``N`` (whose integers grow linearly in bits with
 and ``truncate`` take ``N``; ``*``, ``reciprocal``, ``exp_series`` and
 ``log_series`` (recurrences) ``N^2/2``; ``compose`` (Horner) ``N^3/6``; and
 ``reversion`` (Lagrange inversion, baby-step giant-step powers) ``N^2.5``.
-The series and :class:`~umbralcalc.univar.UnivarPoly` share every ring operation
-but the product (``_Pair``); each binds them by name in its own class namespace,
-which is where the benchmark's tracer looks a method up.
+All four exact types (the series, :class:`~umbralcalc.univar.UnivarPoly`,
+:class:`~umbralcalc.polyring.MultiPoly` and
+:class:`~umbralcalc.genseries.GenSeries`) share coercion, ``-`` and ``**``
+(``_Ring``); the two dense types also share every other ring operation but the
+product (``_Pair``).  Each binds them by name in its own class namespace, which
+is where the benchmark's tracer looks a method up.
 """
 
 from __future__ import annotations
@@ -84,13 +87,53 @@ def _iinverse(cs: Sequence[int], order: int) -> list[int]:
     return rs
 
 
-class _Pair:
-    """The canonical pair of a series and a ``UnivarPoly`` and their shared ring
-    operations: ``+``, ``-``, scalar ``*`` and ``/``, ``**`` and ``d/dx``.  A
-    subclass supplies ``_constant`` (what a scalar becomes), ``_pairs`` (how
-    ``+`` lines up coefficients) and ``_product``, and binds each operation by
-    name, so its own ``vars()`` holds it for the benchmark's tracer.  ``==``
-    compares exact types: a series never equals a polynomial with the same pair."""
+class _Ring:
+    """The ring operations that read no coefficient layout: coercion, ``-``,
+    reverse ``-`` and ``**``.  A subclass supplies ``_constant`` (what a scalar
+    becomes), ``+``, unary ``-`` and ``*``, and binds each operation by name,
+    so its own ``vars()`` holds it for the benchmark's tracer."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        """``other`` as this type (a scalar becomes a constant), or None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._constant(other)
+        return None
+
+    def _sub(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def _rsub(self, other):
+        return (-self) + other
+
+    def _pow(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers take nonnegative integer exponents")
+        if n == 0:
+            return self._constant(1)
+        # binary powering from the base, never from one: square once per bit of n
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
+
+
+class _Pair(_Ring):
+    """The canonical pair of a series and a ``UnivarPoly`` and their dense ring
+    operations: ``+``, unary ``-``, scalar ``*`` and ``/`` and ``d/dx``.  A
+    subclass also supplies ``_pairs`` (how ``+`` lines up coefficients) and
+    ``_product``.  ``==`` compares exact types: a series never equals a
+    polynomial with the same pair."""
 
     __slots__ = ("nums", "den")
 
@@ -142,15 +185,7 @@ class _Pair:
                 parts.append(f"{var}^{n}" if c == 1 else f"{c}*{var}^{n}")
         return " + ".join(parts) if parts else "0"
 
-    # -- shared ring operations ----------------------------------------------
-
-    def _coerce(self, other):
-        """``other`` as this type (a scalar becomes a constant), or None."""
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self._constant(other)
-        return None
+    # -- dense ring operations -----------------------------------------------
 
     def _add(self, other):
         rhs = self._coerce(other)
@@ -165,15 +200,6 @@ class _Pair:
 
     def _neg(self):
         return self.from_pair([-x for x in self.nums], self.den)
-
-    def _sub(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def _rsub(self, other):
-        return (-self) + other
 
     def _mul(self, other):
         if isinstance(other, type(self)):
@@ -190,21 +216,6 @@ class _Pair:
         if not q:
             raise ZeroDivisionError("division by zero")
         return self.from_pair([x * q.denominator for x in self.nums], self.den * q.numerator)
-
-    def _pow(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers take nonnegative integer exponents")
-        if n == 0:
-            return self._constant(1)
-        # binary powering from the base, never from one: square once per bit of n
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
 
     def _derivative(self):
         return self.from_pair([n * x for n, x in enumerate(self.nums)][1:], self.den)
@@ -281,11 +292,6 @@ class TruncatedSeries(_Pair):
         """Zero constant term and nonzero linear term (compositionally invertible)."""
         return self.order >= 1 and not self.nums[0] and bool(self.nums[1])
 
-    @property
-    def is_unit(self) -> bool:
-        """Nonzero constant term (multiplicatively invertible)."""
-        return bool(self.nums[0])
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -320,11 +326,6 @@ class TruncatedSeries(_Pair):
         if isinstance(n, int) and low * n > self.order:  # t^low to the n-th is past the order
             return TruncatedSeries.zero(self.order)
         return self._pow(n)
-
-    def agrees(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise equality up to the shared truncation order."""
-        dx, dy = self.den, other.den
-        return all(x * dy == y * dx for x, y in zip(self.nums, other.nums))
 
     def __str__(self) -> str:
         return f"{self._terms('t')} + O(t^{self.order + 1})"

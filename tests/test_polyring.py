@@ -318,6 +318,33 @@ def test_multipoly_coefficients_are_fractions():
     assert (X(2) ** 3 * Y(-1) * F(1, 3)).coefficient(((-1,), (2, 2, 2), 0)) == F(1, 3)
 
 
+@pytest.mark.parametrize(
+    "base",
+    [Y(0) * F(2, 3) - X(1) + 1, GenSeries([Y(0), X(1) * F(1, 2), MultiPoly.const(-3)])],
+    ids=["MultiPoly", "GenSeries"],
+)
+def test_ring_powers_square_from_the_base(monkeypatch, base):
+    """``p ** n`` makes ``floor(log2 n) + popcount(n) - 1`` products, none with one."""
+    cls, calls = type(base), []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    powers = []
+    for n in range(1, 17):
+        calls.clear()
+        powers.append(base**n)
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+    monkeypatch.undo()
+    product = base
+    for n, power in enumerate(powers, 1):
+        assert power == product, n
+        product = product * base
+
+
 # -- the stored pair: integer numerators over one denominator ------------------------
 
 

@@ -488,7 +488,7 @@ def test_mode_shift_generating_law():
         rhs = expansion.differentiate().times_w(m + 1)
         if m >= 0:
             rhs = rhs + expansion.times_w(m) * F(m + 1, 2)
-        assert lhs.agrees(rhs)
+        assert lhs == rhs.truncate(lhs.order)
 
 
 def test_mode_shift_rejects_low_level():
