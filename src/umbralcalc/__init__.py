@@ -29,7 +29,6 @@ from .polyring import (
     to_univar,
 )
 from .series import (
-    Rational,
     TruncatedSeries,
     exp_series,
     exp_t,
@@ -37,7 +36,6 @@ from .series import (
     shift_multiplier,
 )
 from .umbral import (
-    LinearFunctional,
     attached_basis_expansion,
     attached_generating_series,
     attached_polynomial,

@@ -5,17 +5,21 @@ commutative coefficient ring (multivariate polynomials, univariate
 polynomials, plain rationals, or even truncated series).  It is a light
 container: coefficient-level truncation bookkeeping stays with the
 coefficient type.  Coercion (a scalar is the constant expansion), ``-`` and
-``**`` come from ``series._Ring``.
+``**`` come from ``series._Ring``.  :meth:`GenSeries.compose` forms
+``sum_n c_n u(w)^n``, the expansion of a composite in the paper's first
+formula, over series coefficients (FAA) and over the generic symbols (FDBU).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable
 
-from .errors import OrderTooSmall
-from .series import _Ring
+from .errors import InnerConstantTerm, OrderTooSmall
+from .series import TruncatedSeries, _Ring
 
 
 class GenSeries(_Ring):
@@ -123,8 +127,31 @@ class GenSeries(_Ring):
         zero = self._zero()
         return GenSeries([zero] * k + list(self.coeffs))
 
+    def compose(self, inner: "GenSeries") -> "GenSeries":
+        """``sum_n self[n] * inner^n`` to the smaller order, over any coefficient
+        ring; the ``w^0`` term of ``inner`` must vanish.
+
+        ``inner^n`` is kept from ``w^n`` on, so no zero coefficient is formed
+        or added (a zero series coefficient has a t-order of its own, which
+        can cut the sum's): at order ``N`` this is ``C(N+2, 3)`` coefficient
+        products.
+        """
+        if inner.coeffs[0]:
+            raise InnerConstantTerm("inner expansion has nonzero w^0 term")
+        n = min(self.order, inner.order)
+        cs, u = self.coeffs, inner.coeffs
+        # row[j] is [w^(m + j)] inner^m; each power is summed into out as it is made
+        row = u[1 : n + 1]
+        out = [cs[0]] + [c * cs[1] for c in row]
+        for m in range(2, n + 1):
+            row = [
+                reduce(add, [row[i] * u[j - i + 1] for i in range(j + 1)])
+                for j in range(n - m + 1)
+            ]
+            for j, c in enumerate(row):
+                out[m + j] += c * cs[m]
+        return GenSeries(out)
+
     def to_truncated(self):
         """Reinterpret rational coefficients as a univariate truncated series."""
-        from .series import TruncatedSeries
-
         return TruncatedSeries([Fraction(c) for c in self.coeffs])

@@ -403,14 +403,6 @@ def generic_composite_series(order: int) -> GenSeries:
     Built directly from the closed form; ``exp_derivation`` of ``y_0`` must
     reproduce it coefficient by coefficient.
     """
-    zero = MultiPoly.zero()
-    inner = GenSeries(
-        [zero]
-        + [MultiPoly.x(m) * Fraction(1, math.factorial(m)) for m in range(1, order + 1)]
-    )
-    total = GenSeries.constant(MultiPoly.y(0), order)
-    power = GenSeries.constant(MultiPoly.one(), order)
-    for n in range(1, order + 1):
-        power = power * inner
-        total = total + power * (MultiPoly.y(n) * Fraction(1, math.factorial(n)))
-    return total
+    ys = [MultiPoly.y(n) * Fraction(1, math.factorial(n)) for n in range(order + 1)]
+    xs = [MultiPoly.x(m) * Fraction(1, math.factorial(m)) for m in range(1, order + 1)]
+    return GenSeries(ys).compose(GenSeries([0] + xs))

@@ -44,8 +44,6 @@ from .errors import (
     ZeroConstantTerm,
 )
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)

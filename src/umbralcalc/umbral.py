@@ -53,21 +53,6 @@ def pairing_series(a: TruncatedSeries, gs: GenSeries) -> TruncatedSeries:
     return TruncatedSeries([pairing(a, c) for c in gs.coeffs])
 
 
-class LinearFunctional:
-    """A truncated series viewed as a linear functional through the pairing."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: TruncatedSeries):
-        self.series = series
-
-    def __call__(self, p: UnivarPoly) -> Fraction:
-        return pairing(self.series, p)
-
-    def __repr__(self) -> str:
-        return f"LinearFunctional({self.series!r})"
-
-
 def power_table(b: TruncatedSeries, order: int) -> tuple[list[list[int]], int]:
     """``(rows, d)`` with ``rows[k][m] = d^k [w^m] B(w)^k`` for ``k, m <= order``,
     all integers; a row is zero below ``m = k`` because ``B`` is delta."""

@@ -10,6 +10,7 @@ from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
+from .genseries import GenSeries
 from .series import _ZERO, Scalar, _iconv, _Pair, _scaled, as_rational
 
 
@@ -96,10 +97,8 @@ class UnivarPoly(_Pair):
         return UnivarPoly.from_pair(out, self.den * s**top)
 
 
-def exp_w_ddx(p: UnivarPoly, order: int):
+def exp_w_ddx(p: UnivarPoly, order: int) -> GenSeries:
     """Expansion of ``e^(w d/dx) p``: coefficient of ``w^k`` is ``p^(k)/k!``."""
-    from .genseries import GenSeries
-
     coeffs = []
     q = p
     for k in range(order + 1):

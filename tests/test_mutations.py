@@ -82,6 +82,19 @@ def _composed_off_at_w4(fn):
     return mutant
 
 
+def _patch_gen_compose(mp):
+    """``[w^4]`` of every ``GenSeries.compose`` result gains one."""
+    compose = GenSeries.compose
+
+    def mutant(outer, inner):
+        cs = list(compose(outer, inner).coeffs)
+        if len(cs) > 4:
+            cs[4] = cs[4] + 1
+        return GenSeries(cs)
+
+    mp.setattr(GenSeries, "compose", mutant)
+
+
 def _table_off_at_w4(fn):
     """``[w^4] B(w)^k`` is off by one for ``k = 1 .. 4``."""
 
@@ -167,6 +180,7 @@ MUTANTS = {
         _patch_method("compose", 7),
         ("FAA", "BELL", "ADJNEW", "ADJ-SUBST", "ADJ-SHIFT", "BSTAR"),
     ),
+    "GenSeries.compose": (_patch_gen_compose, ("FAA", "FDBU")),
     "reversion": (_patch_method("reversion", 7), ("ADJNEW", "ADJ-SHIFT", "BSTAR")),
     "reciprocal": (_patch_method("reciprocal", 5), ("BSTAR",)),
     "exp_series": (_patch_function("exp_series", 5), ("UMBRAL-BASIS",)),

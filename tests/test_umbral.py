@@ -18,7 +18,6 @@ from umbralcalc.sampling import (
 )
 from umbralcalc.series import TruncatedSeries, exp_series, exp_t
 from umbralcalc.umbral import (
-    LinearFunctional,
     attached_basis_expansion,
     attached_generating_series,
     attached_polynomial,
@@ -66,11 +65,6 @@ def test_pairing_series_recovers_functional():
     a = random_series(rng, 7)
     e_xw = attached_generating_series(TruncatedSeries.identity(7), 7)
     assert pairing_series(a, e_xw) == a
-
-
-def test_linear_functional_wrapper():
-    functional = LinearFunctional(exp_t(4))
-    assert functional(X**2) == 1
 
 
 # -- attached sequences -----------------------------------------------------------
