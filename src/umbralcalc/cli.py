@@ -38,10 +38,10 @@ MAX_DIGITS = 100_000
 # Largest truncation order a command accepts: ``--order`` is refused before
 # any work, and a series order that ``--n``, ``--m`` or the degree of ``--p``
 # implies before the series is built.  Past order 28 the cost grows
-# steeply: ``verify --id ALL`` takes 40 to 70 s of CPU at order 40 (67 s in one
-# run: ADJNEW 30 s, FAA 22 s, FDBU 15 s; one process on a shared 2-core Intel
-# Xeon VM, Python 3.11.7), and ``bell`` needs seconds at order 100 and over a
-# minute at order 150.
+# steeply: ``verify --id ALL`` takes about 35 s of CPU at order 40 (35.2 s in
+# one run: ADJNEW 14.8 s, FDBU 11.0 s, FAA 8.6 s; one process on a shared
+# 2-core Intel Xeon VM, Python 3.11.7), and ``bell`` needs seconds at order 100
+# and over a minute at order 150.
 MAX_ORDER = 40
 
 # Largest ``--max-m`` and ``--max-n`` of ``fmn-table``, refused before any

@@ -8,6 +8,9 @@ coefficient type.  Coercion (a scalar is the constant expansion), ``-`` and
 ``**`` come from ``series._Ring``.  :meth:`GenSeries.compose` forms
 ``sum_n c_n u(w)^n``, the expansion of a composite in the paper's first
 formula, over series coefficients (FAA) and over the generic symbols (FDBU).
+Over series coefficients it is graded: the result's ``w^k`` term is known to
+no higher t-order than ``c_k``, so each intermediate series at ``w^k`` is cut
+to the suffix maximum ``max(order(c_j) for j >= k)``, which changes no output.
 """
 
 from __future__ import annotations
@@ -15,11 +18,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable
 
 from .errors import InnerConstantTerm, OrderTooSmall
 from .series import TruncatedSeries, _Ring
+
+
+def _graded_cut(cs: tuple) -> Callable:
+    """``cut(c, k)``: a series ``c`` at ``w^k`` truncated to the largest t-order
+    of ``cs[k:]`` when every ``cs`` is a series; anything else is unchanged."""
+    if not all(isinstance(c, TruncatedSeries) for c in cs):
+        return lambda c, k: c
+    need = list(accumulate([c.order for c in reversed(cs)], max))[::-1]
+
+    def cut(c, k: int):
+        return c.truncate(need[k]) if isinstance(c, TruncatedSeries) and c.order > need[k] else c
+
+    return cut
 
 
 class GenSeries(_Ring):
@@ -135,17 +152,26 @@ class GenSeries(_Ring):
         or added (a zero series coefficient has a t-order of its own, which
         can cut the sum's): at order ``N`` this is ``C(N+2, 3)`` coefficient
         products.
+
+        Over series coefficients the result's ``w^k`` term is known to no
+        higher t-order than ``self[k]``, and a term at ``w^k`` feeds only the
+        terms at ``w^k`` and up.  So every intermediate series at ``w^k`` is
+        cut to ``need[k]``, the largest t-order of ``self[k:]`` (a suffix
+        maximum), and each output keeps its value and its t-order.
         """
         if inner.coeffs[0]:
             raise InnerConstantTerm("inner expansion has nonzero w^0 term")
         n = min(self.order, inner.order)
         cs, u = self.coeffs, inner.coeffs
+        cut = _graded_cut(cs[: n + 1])
         # row[j] is [w^(m + j)] inner^m; each power is summed into out as it is made
-        row = u[1 : n + 1]
+        row = [cut(c, k) for k, c in enumerate(u[1 : n + 1], 1)]
         out = [cs[0]] + [c * cs[1] for c in row]
         for m in range(2, n + 1):
+            # in this power u[l] feeds only w^(m + l - 1) and up
+            v = [cut(u[l], m + l - 1) for l in range(1, n - m + 2)]
             row = [
-                reduce(add, [row[i] * u[j - i + 1] for i in range(j + 1)])
+                cut(reduce(add, [row[i] * v[j - i] for i in range(j + 1)]), m + j)
                 for j in range(n - m + 1)
             ]
             for j, c in enumerate(row):

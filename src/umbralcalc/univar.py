@@ -80,11 +80,15 @@ class UnivarPoly(_Pair):
         return self._terms("x")
 
     def evaluate(self, value: Scalar) -> Fraction:
-        acc = _ZERO
+        """``p(r/s)`` by Horner's rule on the numerators: ``acc`` ends as
+        ``den s^deg p(r/s)`` and ``scale`` as ``s^(deg+1)``; one ``Fraction``."""
         v = as_rational(value)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        r, s = v.numerator, v.denominator
+        acc, scale = 0, 1
+        for x in reversed(self.nums):  # x = nums[deg - j] with scale = s^j
+            acc = acc * r + x * scale
+            scale *= s
+        return Fraction(acc * s, self.den * scale)
 
     def shift_argument(self, offset: Scalar) -> "UnivarPoly":
         """The polynomial ``p(x + offset)`` expanded binomially."""

@@ -211,6 +211,16 @@ def ladder_value(m: int, n: int) -> Fraction:
     return _LADDER_ROWS[m][n]
 
 
+def _falling(z: Fraction, k: int) -> tuple[int, int]:
+    """The falling factorial ``z (z-1) ... (z-k+1)`` of ``z = r/s`` as the
+    integer pair ``(prod_(i<k) (r - i s), s^k)`` for ``k >= 0``."""
+    r, s = z.numerator, z.denominator
+    num = 1
+    for i in range(k):
+        num *= r - i * s
+    return num, s**k
+
+
 def ladder_closed(m: int, n: Scalar) -> Fraction:
     """Closed polynomial form ``(1/2) n (n-1) ... (n-m+1) (2n - m + 1)``.
 
@@ -221,10 +231,9 @@ def ladder_closed(m: int, n: Scalar) -> Fraction:
     if m == -1:
         return Fraction(1)
     z = as_rational(n)
-    prod = Fraction(1)
-    for i in range(m):
-        prod *= z - i
-    return prod * (2 * z - m + 1) / 2
+    num, den = _falling(z, m)
+    r, s = z.numerator, z.denominator
+    return Fraction(num * (2 * r - (m - 1) * s), 2 * den * s)
 
 
 # -- generalized attached shifts ---------------------------------------------
@@ -257,11 +266,8 @@ def binom_general(z: Scalar, k: int) -> Fraction:
     """Generalized binomial ``C(z, k)`` via a falling factorial; 0 for k < 0."""
     if k < 0:
         return _ZERO
-    zq = as_rational(z)
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= zq - i
-    return prod / math.factorial(k)
+    num, den = _falling(as_rational(z), k)
+    return Fraction(num, den * math.factorial(k))
 
 
 def sheffer_pair(n: int, xval: Scalar) -> tuple[Fraction, Fraction]:

@@ -144,6 +144,46 @@ def test_compose_of_series_coefficients_matches_the_faa_loop(order):
     assert list(composed) == reference
 
 
+def _ungraded_compose(outer: GenSeries, inner: GenSeries) -> GenSeries:
+    """``GenSeries.compose`` before graded truncation: every intermediate series
+    keeps the full t-order its operands give it."""
+    n = min(outer.order, inner.order)
+    cs, u = outer.coeffs, inner.coeffs
+    row = u[1 : n + 1]
+    out = [cs[0]] + [c * cs[1] for c in row]
+    for m in range(2, n + 1):
+        row = [
+            reduce(add, [row[i] * u[j - i + 1] for i in range(j + 1)])
+            for j in range(n - m + 1)
+        ]
+        for j, c in enumerate(row):
+            out[m + j] += c * cs[m]
+    return GenSeries(out)
+
+
+# a series of random t-order 0..6 with small rational coefficients
+ragged_series = st.integers(0, 6).flatmap(
+    lambda order: st.lists(rationals, min_size=order + 1, max_size=order + 1).map(
+        TruncatedSeries
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(ragged_series, min_size=1, max_size=7),
+    st.lists(ragged_series, max_size=6),
+    st.one_of(st.just(0), st.integers(0, 6).map(TruncatedSeries.zero)),
+)
+def test_graded_compose_matches_the_ungraded_loop(outer, inner, zero):
+    # t-orders that rise and fall along w, so the suffix maximum differs from each order
+    outer, inner = GenSeries(outer), GenSeries([zero] + inner)
+    composed = outer.compose(inner).coeffs
+    reference = _ungraded_compose(outer, inner).coeffs
+    assert [c.order for c in composed] == [c.order for c in reference]
+    assert [(c.nums, c.den) for c in composed] == [(c.nums, c.den) for c in reference]
+
+
 def test_compose_refuses_an_inner_constant_term():
     with pytest.raises(InnerConstantTerm) as info:
         GenSeries([F(1), F(2)]).compose(GenSeries([F(1), F(1)]))

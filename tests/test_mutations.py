@@ -154,6 +154,10 @@ def _ladder_off_at_2_6(fn):
     return lambda m, n: fn(m, n) + (1 if (m, n) == (2, 6) else 0)
 
 
+def _binom_off_at_3(fn):
+    return lambda z, k: fn(z, k) + (1 if k == 3 else 0)
+
+
 def _patch_virasoro_unit(mp):
     """The first coefficient of ``L(3)`` on every monomial is off by one."""
     unit = virasoro._virasoro_unit
@@ -216,6 +220,14 @@ MUTANTS = {
     "ladder_value": (
         lambda mp: _patch_everywhere(mp, virasoro, "ladder_value", _ladder_off_at_2_6),
         ("LADDER", "F-CLOSED", "RECSQUARE", "GENSHIFT-GF"),
+    ),
+    "ladder_closed": (
+        lambda mp: _patch_everywhere(mp, virasoro, "ladder_closed", _ladder_off_at_2_6),
+        ("F-CLOSED", "SHEFFER-TS", "F-HEURISTIC"),
+    ),
+    "binom_general": (
+        lambda mp: _patch_everywhere(mp, virasoro, "binom_general", _binom_off_at_3),
+        ("SHEFFER-TS",),
     ),
     "_virasoro_unit": (_patch_virasoro_unit, ("VIR-BRACKET", "LADDER")),
     "heisenberg h(-3)": (

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralcalc.errors import OrderTooSmall
 from umbralcalc.series import TruncatedSeries, as_rational, exp_t
@@ -250,6 +250,19 @@ def test_calculus_matches_fraction_oracle(xs, n, h, v):
     exact(p.shift_argument(h), op.shift_argument(h))
     assert p.evaluate(v) == op.evaluate(v)
     assert type(p.evaluate(v)) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, scalars)
+@example([], 0)
+@example([], F(-5, 7))
+@example([_ZERO, _ZERO], 3)
+@example([F(1, 2), -3, F(2, 9)], 0)
+@example([F(1, 2), -3, F(2, 9)], F(-4, 15))
+def test_evaluate_matches_the_fraction_horner(xs, v):
+    value = UnivarPoly(xs).evaluate(v)
+    assert type(value) is Fraction
+    assert value == FractionPoly(xs).evaluate(v)
 
 
 def test_equal_values_have_equal_pairs_and_hashes():

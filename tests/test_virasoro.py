@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc import cli
@@ -400,6 +400,60 @@ def test_ladder_summation_identity():
 
 def test_ladder_value_deep_column():
     assert ladder_value(3, 5000) == ladder_closed(3, 5000)
+
+
+# -- the closed forms against their per-factor Fraction loops ---------------------
+
+_points = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=50),
+)
+
+
+def _ladder_closed_loop(m, n):
+    """The per-factor ``Fraction`` loop the integer falling factorial replaced."""
+    if m == -1:
+        return Fraction(1)
+    z = Fraction(n)
+    prod = Fraction(1)
+    for i in range(m):
+        prod *= z - i
+    return prod * (2 * z - m + 1) / 2
+
+
+def _binom_loop(z, k):
+    """The per-factor ``Fraction`` loop the integer falling factorial replaced."""
+    if k < 0:
+        return Fraction(0)
+    zq = Fraction(z)
+    prod = Fraction(1)
+    for i in range(k):
+        prod *= zq - i
+    return prod / math.factorial(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(-1, 14), n=_points)
+@example(m=-1, n=F(-5, 2))
+@example(m=0, n=0)
+@example(m=0, n=F(-5, 2))
+@example(m=3, n=-4)
+def test_ladder_closed_matches_the_fraction_loop(m, n):
+    value = ladder_closed(m, n)
+    assert type(value) is Fraction
+    assert value == _ladder_closed_loop(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_points, k=st.integers(-4, 14))
+@example(z=0, k=0)
+@example(z=0, k=3)
+@example(z=-2, k=-1)
+@example(z=F(-7, 3), k=5)
+def test_binom_general_matches_the_fraction_loop(z, k):
+    value = binom_general(z, k)
+    assert type(value) is Fraction
+    assert value == _binom_loop(z, k)
 
 
 def test_ladder_index_guards():
