@@ -33,8 +33,10 @@ paths.  Floats are refused.
 ``D`` has integer coefficients, so its powers and exponential apply one
 integer step per level to the stored numerators and put each level over
 ``den`` (times ``k!`` for ``e^(wD)``).  :func:`specialize_x` and
-:func:`specialize_y` clear the substituted values' denominators once and sum
-integer numerators per output key over one common denominator.
+:func:`specialize_y` read the substituted values as integer EGF numerators
+``n! c_n`` over the series' stored denominator (an ``extension`` value at a
+negative ``y``-index, the one ``Fraction`` read, joins it over one lcm) and
+sum integer numerators per output key over one common denominator.
 """
 
 from __future__ import annotations
@@ -336,14 +338,8 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     Fixes every ``y_i``; the image lives in ``C[..., y_i, ..., x]``.
     """
     _require_delta(b)
-    if p.uses_plain_x:
-        raise UnsupportedVariable("domain of the x-substitution has no plain x")
-    top = max((xs[-1] for _, xs, _ in p.nums if xs), default=0)
-    if top > b.order:
-        j = next(j for _, xs, _ in p.nums for j in xs if j > b.order)
-        raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
-    values, d = _scaled([b.egf(j) for j in range(top + 1)])
-    return _substitute(p, 1, values, d)
+    values = [math.factorial(j) * x for j, x in enumerate(b.nums)]
+    return _substitute(p, 1, values, b.den)
 
 
 def specialize_y(
@@ -365,25 +361,46 @@ def specialize_y(
                 continue
             if i > a.order:
                 raise OrderTooSmall(f"y-index {i} exceeds series order {a.order}")
-            values[i] = a.egf(i) if i >= 0 else as_rational(ext.get(i, 0))
-    nums, d = _scaled(list(values.values()))
-    return _substitute(p, 0, dict(zip(values, nums)), d)
+            values[i] = math.factorial(i) * a.nums[i] if i >= 0 else as_rational(ext.get(i, 0))
+    # EGF numerators over a.den, and the extension's Fractions, over one lcm
+    d = math.lcm(a.den, *[v.denominator for v in values.values() if type(v) is Fraction])
+    values = {i: v * (d // a.den) if type(v) is int else v.numerator * (d // v.denominator)
+              for i, v in values.items()}
+    return _substitute(p, 0, values, d)
 
 
 def _substitute(p: MultiPoly, family: int, values, d: int) -> MultiPoly:
     """Replace each ``y_i`` (``family`` 0) or each ``x_j`` (``family`` 1) by
     ``values[index] / d``; an ``x_j`` of total degree ``e`` becomes ``x^e``.
     Every term is put over ``p.den * d^top`` (``top`` the largest substituted
-    degree, a tuple length) before the integer sums."""
-    top = max([len(key[family]) for key in p.nums], default=0)
-    scale = [d ** (top - k) for k in range(top + 1)]
-    pairs = []
+    degree, a tuple length) before the integer sums.
+
+    For the ``x_j``, ``values`` lists the series' values from index 0, and the
+    same pass checks the domain: a plain ``x`` raises
+    :class:`UnsupportedVariable` at once, an index past the list's end raises
+    :class:`OrderTooSmall` (for the first such index) once no plain ``x`` was
+    found."""
+    last, beyond = len(values) - 1, None
+    terms, top = [], 0
     for key, c in p.nums.items():
         units = key[family]
+        if family:
+            if key[2]:
+                raise UnsupportedVariable("domain of the x-substitution has no plain x")
+            if units and units[-1] > last:
+                if beyond is None:
+                    beyond = next(j for j in units if j > last)
+                continue
         for i in units:
             c *= values[i]
-        image = (key[0], (), len(units)) if family else ((), (), key[2])
-        pairs.append((image, c * scale[len(units)]))
+        k = len(units)
+        if k > top:
+            top = k
+        terms.append(((key[0], (), k) if family else ((), (), key[2]), c, k))
+    if beyond is not None:
+        raise OrderTooSmall(f"x-index {beyond} exceeds series order {last}")
+    scale = [d ** (top - k) for k in range(top + 1)]
+    pairs = ((image, c * scale[k]) for image, c, k in terms)
     return MultiPoly.from_pair(accumulate({}, pairs), p.den * d**top)
 
 

@@ -71,8 +71,9 @@ def _iconv(xs: Sequence[int], ys: Sequence[int], order: int) -> list[int]:
     needs ``order + 1`` entries, ``xs`` may be shorter (missing ones are 0)."""
     # slice lists, not stored tuples: CPython 3.11 keeps every freed 20-tuple
     # on a free list it never pops, which grows with each product past t^19
-    xs, ys = list(xs), list(ys)
-    return [sum(map(mul, xs[: m + 1], ys[m::-1])) for m in range(order + 1)]
+    rev = list(reversed(ys))  # rev[top - m:] is ys[m], ..., ys[0]; map stops at its end
+    top = len(rev) - 1
+    return [sum(map(mul, xs, rev[top - m :])) for m in range(order + 1)]
 
 
 def _iinverse(cs: Sequence[int], order: int) -> list[int]:

@@ -23,7 +23,8 @@ once); the basis expansion is a triangular solve (``N^2/2``).  A functional
 are one integer pair ``(vs, den)``, ``c_n = vs[n] / (n! den)``: it is what
 :func:`basis_coordinates` returns and :func:`attached_sum` reads.  A ``Fraction``
 is built only where a value leaves the layer (:func:`pairing`,
-:func:`attached_basis_expansion`) and for each row's division in the solve.
+:func:`attached_basis_expansion`); the solve reduces each row's integer
+quotient with one gcd.
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ def basis_coordinates(table: tuple, p: UnivarPoly) -> tuple[list[int], int]:
     vs, q = [0] * len(ps), 1
     for k in range(len(ps) - 1, -1, -1):
         dot = sum(map(mul, vs[k + 1 :], rows[k][k + 1 :]))
-        v = Fraction(ps[k] * math.factorial(k) * d**k * q - dot, q * rows[k][k])
-        if q % v.denominator:
-            f = v.denominator // math.gcd(q, v.denominator)
+        num, div = ps[k] * math.factorial(k) * d**k * q - dot, q * rows[k][k]
+        g = math.gcd(num, div) if div > 0 else -math.gcd(num, div)  # rows[k][k] = xs[1]^k
+        num, div = num // g, div // g
+        if q % div:
+            f = div // math.gcd(q, div)
             vs, q = [x * f for x in vs], q * f
-        vs[k] = v.numerator * (q // v.denominator)
+        vs[k] = num * (q // div)
     return vs, q * den
 
 

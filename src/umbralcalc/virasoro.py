@@ -49,7 +49,7 @@ from typing import Iterator, Union
 
 from .errors import IndexOutOfRange, NotHomogeneous
 from .polyring import MultiPoly, accumulate, fock_key, fock_nums, unit_moves
-from .series import TruncatedSeries, _scaled, as_rational
+from .series import TruncatedSeries, as_rational
 from .umbral import attached_sum, basis_coordinates, power_table
 from .univar import UnivarPoly
 
@@ -58,6 +58,7 @@ Scalar = Union[int, Fraction]
 FockPoly = MultiPoly  # x_j-monomials only; the y factor is implicit
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -200,7 +201,7 @@ def ladder_value(m: int, n: int) -> Fraction:
     if n < 0:
         raise IndexOutOfRange(f"ladder column index must be >= 0, got {n}")
     if m == -1:
-        return Fraction(1)
+        return _ONE
     if n >= len(_LADDER_ROWS.get(m, ())):
         below = None
         for r in range(m + 1):
@@ -253,10 +254,17 @@ def mode_shift(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
     table = power_table(b, max(d, d - m))
     vs, den = basis_coordinates(table, p)
     # weight vs[n] / (n! den) times f_m(n) moves to B_(n-m): over (n-m)! it is
-    # vs[n] f_m(n) (n-m)!/n!, and those factors go over their lcm q
-    fs, q = _scaled([ladder_value(m, n) * Fraction(math.factorial(n - m), math.factorial(n))
-                     for n in range(low, d + 1)])
-    return attached_sum(table, [0] * (low - m) + [v * f for v, f in zip(vs[low:], fs)], den * q)
+    # vs[n] f_m(n) (n-m)!/n!, an integer pair per n, and the pairs go over the
+    # lcm q of their denominators
+    nums, dens = [], []
+    for n in range(low, d + 1):
+        f = ladder_value(m, n)
+        up, down = (n + 1, 1) if m < 0 else (1, math.perm(n, m))  # (n-m)!/n!
+        nums.append(f.numerator * up)
+        dens.append(f.denominator * down)
+    q = math.lcm(*dens)
+    weights = [v * f * (q // e) for v, f, e in zip(vs[low:], nums, dens)]
+    return attached_sum(table, [0] * (low - m) + weights, den * q)
 
 
 # -- the referee's Sheffer pair ----------------------------------------------

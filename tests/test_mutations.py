@@ -118,9 +118,9 @@ def _coordinates_off_at_3(fn):
     return mutant
 
 
-def _poly_off_at_x3(fn):
-    """``[x^3]`` of every polynomial result is off by one."""
-    return lambda *args: UnivarPoly(_bump(fn(*args).coeffs, 3))
+def _poly_off_at(k):
+    """``[x^k]`` of every polynomial result is off by one."""
+    return lambda fn: lambda *args: UnivarPoly(_bump(fn(*args).coeffs, k))
 
 
 def _patch_derivation_step(mp):
@@ -197,7 +197,7 @@ MUTANTS = {
         ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
     ),
     "attached_sum": (
-        lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _poly_off_at_x3),
+        lambda mp: _patch_everywhere(mp, umbral, "attached_sum", _poly_off_at(3)),
         ("FDBU", "ADJ-SUBST", "ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
     ),
     "basis_coordinates": (
@@ -205,8 +205,12 @@ MUTANTS = {
         ("ADJ-SHIFT", "UMBRAL-BASIS", "GENSHIFT-GF", "UMBVIR"),
     ),
     "egf_multiplier": (
-        lambda mp: _patch_everywhere(mp, umbral, "egf_multiplier", _poly_off_at_x3),
+        lambda mp: _patch_everywhere(mp, umbral, "egf_multiplier", _poly_off_at(3)),
         ("FDBU", "UMBRAL-BASIS", "GENSHIFT-GF"),
+    ),
+    "apply_series_in_ddx": (
+        lambda mp: _patch_everywhere(mp, umbral, "apply_series_in_ddx", _poly_off_at(2)),
+        ("ADJ-DIFF",),
     ),
     "derivation step": (_patch_derivation_step, ("AUTOMORPHISM", "FDBU", "ADJNEW")),
     "unit_moves": (

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.errors import (
@@ -28,7 +28,7 @@ from umbralcalc.polyring import (
     unit_moves,
 )
 from umbralcalc.sampling import random_delta, random_multipoly, random_series, rng_for
-from umbralcalc.series import TruncatedSeries, _scaled, exp_t
+from umbralcalc.series import TruncatedSeries, _require_delta, _scaled, as_rational, exp_t
 from umbralcalc.umbral import composed_expansion
 from umbralcalc.univar import UnivarPoly
 from umbralcalc.virasoro import basis_monomials
@@ -173,6 +173,19 @@ def test_specialize_x_errors():
         specialize_x(X(1), exp_t(8))
     with pytest.raises(UnsupportedVariable):
         specialize_x(MultiPoly.plain_x(), _b_series(8))
+
+
+def test_specialize_x_plain_x_wins_over_an_index_past_the_order():
+    """A plain ``x`` anywhere is reported before an ``x_j`` past the order, and
+    with neither present a non-delta series is reported first."""
+    b = _b_series(2)
+    for p in (X(3) + MultiPoly.plain_x(), MultiPoly.plain_x() + X(4) * X(3), X(5) * MultiPoly.plain_x()):
+        with pytest.raises(UnsupportedVariable, match="has no plain x"):
+            specialize_x(p, b)
+    with pytest.raises(NotDeltaSeries):
+        specialize_x(X(3) + MultiPoly.plain_x(), exp_t(2))
+    with pytest.raises(OrderTooSmall, match="^x-index 3 exceeds series order 2$"):
+        specialize_x(Y(1) * X(1) + X(1) * X(3) * X(4) + X(5), b)
 
 
 def test_specialize_y_on_generators():
@@ -479,3 +492,98 @@ def test_substitutions_match_the_pair_oracle(p, seed):
         values, d = _scaled([a.egf(i) if i >= 0 else F(0) for i in ys])
         expect = pair_keys._substitute(to_pairs(image), 0, dict(zip(ys, values)), d)
         _same_as_pairs(specialize_y(image, a), expect)
+
+
+# -- the substitutions against the Fraction-valued route they replaced ---------------
+
+
+def _specialize_x_oracle(p, b):
+    """Substitute ``x_j -> B_j * x`` with values cleared from their ``Fraction``s."""
+    _require_delta(b)
+    if p.uses_plain_x:
+        raise UnsupportedVariable("domain of the x-substitution has no plain x")
+    top = max((xs[-1] for _, xs, _ in p.nums if xs), default=0)
+    if top > b.order:
+        j = next(j for _, xs, _ in p.nums for j in xs if j > b.order)
+        raise OrderTooSmall(f"x-index {j} exceeds series order {b.order}")
+    values, d = _scaled([b.egf(j) for j in range(top + 1)])
+    return _substitute_oracle(p, 1, values, d)
+
+
+def _specialize_y_oracle(p, a, extension=None):
+    """Substitute ``y_i -> A_i`` with values cleared from their ``Fraction``s."""
+    ext = extension or {}
+    values: dict = {}
+    for ys, xs, _ in p.nums:
+        if xs:
+            raise UnsupportedVariable("domain of the y-substitution has no x_j")
+        for i in ys:
+            if i in values:
+                continue
+            if i > a.order:
+                raise OrderTooSmall(f"y-index {i} exceeds series order {a.order}")
+            values[i] = a.egf(i) if i >= 0 else as_rational(ext.get(i, 0))
+    nums, d = _scaled(list(values.values()))
+    return _substitute_oracle(p, 0, dict(zip(values, nums)), d)
+
+
+def _substitute_oracle(p, family, values, d):
+    """Replace each ``y_i`` (``family`` 0) or each ``x_j`` (``family`` 1) by
+    ``values[index] / d``; an ``x_j`` of total degree ``e`` becomes ``x^e``."""
+    top = max([len(key[family]) for key in p.nums], default=0)
+    scale = [d ** (top - k) for k in range(top + 1)]
+    pairs = []
+    for key, c in p.nums.items():
+        units = key[family]
+        for i in units:
+            c *= values[i]
+        image = (key[0], (), len(units)) if family else ((), (), key[2])
+        pairs.append((image, c * scale[len(units)]))
+    return MultiPoly.from_pair(accumulate({}, pairs), p.den * d**top)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its exception."""
+    try:
+        return fn(*args)
+    except (NotDeltaSeries, OrderTooSmall, UnsupportedVariable) as exc:
+        return type(exc), str(exc)
+
+
+def _y_monomials(max_factors):
+    """Products of ``y_-4 .. y_5`` and the plain ``x``, now and then an ``x_j``."""
+    factor = st.one_of(
+        st.integers(-4, 5).map(Y), st.just(MultiPoly.plain_x()), st.integers(-4, 5).map(Y)
+    )
+    mono = st.lists(factor, max_size=max_factors).map(lambda fs: math.prod(fs, start=MultiPoly.one()))
+    return st.one_of(mono, mono, mono, _monomials(3))
+
+
+_terms = st.tuples(_y_monomials(5), st.fractions(-20, 20, max_denominator=9))
+_y_polys = st.lists(_terms, max_size=6).map(lambda ts: sum((m * c for m, c in ts), MultiPoly.const(0)))
+_extensions = st.one_of(
+    st.none(),
+    st.dictionaries(st.integers(-4, -1), st.fractions(-30, 30, max_denominator=12), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_ring_polys(), order=st.integers(1, 8), seed=st.integers(0, 10**6), delta=st.booleans())
+def test_specialize_x_matches_the_fraction_values(p, order, seed, delta):
+    rng = rng_for(seed, "substitute-x")
+    b = random_delta(rng, order) if delta else random_series(rng, order)
+    for q in (p, p * X(order + 1)):  # the second is past the order unless p is zero
+        assert _outcome(specialize_x, q, b) == _outcome(_specialize_x_oracle, q, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_y_polys, order=st.integers(0, 6), seed=st.integers(0, 10**6), ext=_extensions)
+@example(
+    p=Y(-1) * Y(-3) * MultiPoly.plain_x() + Y(2) * Y(-1) * F(3, 7) + Y(-4),
+    order=3,
+    seed=0,
+    ext={-1: F(5, 6), -3: F(-7, 4), -4: 2},
+)
+def test_specialize_y_matches_the_fraction_values(p, order, seed, ext):
+    a = random_series(rng_for(seed, "substitute-y"), order)
+    assert _outcome(specialize_y, p, a, ext) == _outcome(_specialize_y_oracle, p, a, ext)

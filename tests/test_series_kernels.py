@@ -8,13 +8,16 @@ agree with them exactly, ``Fraction`` for ``Fraction``.  The elementwise
 oracles (``+``, ``-``, scalar ``*`` and ``/``, ``derivative``, ``egf_shift``,
 ``truncate``) are the bodies the stored integer pair replaced; the pair itself
 must stay canonical: ``den > 0`` and ``gcd(den, *nums) = 1``.
+``iconv_oracle`` is the earlier integer convolution, with two list slices per
+output coefficient.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralcalc import series
 from umbralcalc.series import TruncatedSeries, as_rational, exp_series, log_series
@@ -38,6 +41,12 @@ def conv_oracle(xs, ys, order):
             if yj:
                 out[i + j] += xi * yj
     return out
+
+
+def iconv_oracle(xs, ys, order):
+    """The integer Cauchy product with two list slices per output coefficient."""
+    xs, ys = list(xs), list(ys)
+    return [sum(map(mul, xs[: m + 1], ys[m::-1])) for m in range(order + 1)]
 
 
 def compose_oracle(coeffs, inner):
@@ -207,6 +216,29 @@ def exact(series, oracle):
 def test_mul_matches_fraction_convolution(xs, ys):
     n = min(len(xs), len(ys)) - 1
     exact(TruncatedSeries(xs) * TruncatedSeries(ys), conv_oracle(xs, ys, n))
+
+
+big_ints = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40))
+# ys has order + 1 entries or more; xs may be shorter or longer than that
+iconv_cases = st.lists(big_ints, min_size=1, max_size=21).flatmap(
+    lambda ys: st.tuples(
+        st.lists(big_ints, max_size=21), st.just(ys), st.integers(0, len(ys) - 1)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(iconv_cases, st.booleans())
+@example(([1, -2], list(range(1, 21)), 19), False)  # a shorter xs
+@example((list(range(20)), list(range(7, 27)), 5), True)  # order < len(ys) - 1
+@example((list(range(-10, 10)), list(range(20, 40)), 19), True)  # 20-entry operands
+def test_iconv_matches_the_sliced_products(case, stored):
+    xs, ys, order = case
+    if stored:  # the kernel reads stored tuples as well as lists
+        xs, ys = tuple(xs), tuple(ys)
+    got = series._iconv(xs, ys, order)
+    assert type(got) is list and all(type(c) is int for c in got)
+    assert got == iconv_oracle(xs, ys, order) == conv_oracle(xs, ys, order)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,11 +10,14 @@ The ring oracles read and write the earlier ``(index, exponent)`` pair keys,
 so they run through :func:`via_pairs`, which converts keys with
 ``tests/pair_keys.py``.  The kernels must agree with them exactly,
 ``Fraction`` for ``Fraction``, and must raise the same exception type with the
-same message on every input outside their domain.
+same message on every input outside their domain.  ``basis_coordinates_oracle``
+and ``mode_shift_weights_oracle`` are the later integer routes that still built
+one ``Fraction`` per solve row and per level weight.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Union
 
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +39,7 @@ from umbralcalc.polyring import (
     specialize_y,
     to_univar,
 )
-from umbralcalc.series import TruncatedSeries, exp_t
+from umbralcalc.series import TruncatedSeries, _scaled, exp_t
 from umbralcalc.umbral import (
     apply_series_in_ddx,
     attached_basis_expansion,
@@ -220,6 +223,44 @@ def mode_shift_oracle(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
         if f:
             out = out + gs.coeff(k) * (c * f * Fraction(math.factorial(k)))
     return out
+
+
+def basis_coordinates_oracle(table: tuple, p: UnivarPoly) -> tuple[list[int], int]:
+    """The weight pair ``(vs, q den)`` of ``p = ps / den`` in the basis ``B_0, ...,
+    B_deg(p)`` of a :func:`power_table` of order at least ``deg(p)``: the triangular
+    system ``k! d^k ps[k] = sum_(n >= k) v_n rows[k][n]`` solved top down over
+    integers ``v_n = vs[n] / q`` with one common denominator ``q``."""
+    rows, d = table
+    ps, den = p.nums, p.den
+    vs, q = [0] * len(ps), 1
+    for k in range(len(ps) - 1, -1, -1):
+        dot = sum(map(mul, vs[k + 1 :], rows[k][k + 1 :]))
+        v = Fraction(ps[k] * math.factorial(k) * d**k * q - dot, q * rows[k][k])
+        if q % v.denominator:
+            f = v.denominator // math.gcd(q, v.denominator)
+            vs, q = [x * f for x in vs], q * f
+        vs[k] = v.numerator * (q // v.denominator)
+    return vs, q * den
+
+
+def mode_shift_weights_oracle(b: TruncatedSeries, m: int, p: UnivarPoly) -> UnivarPoly:
+    """The level-``m`` attached shift: linear extension of
+    ``B_n -> f_m(n) B_(n-m)`` (``B_k = 0`` for ``k < 0``).
+
+    ``m = -1`` reproduces the classical umbral shift.
+    """
+    if m < -1:
+        raise IndexOutOfRange(f"mode index must be >= -1, got {m}")
+    if not p:
+        return UnivarPoly.zero()
+    d, low = p.degree, max(m, 0)
+    table = power_table(b, max(d, d - m))
+    vs, den = basis_coordinates_oracle(table, p)
+    # weight vs[n] / (n! den) times f_m(n) moves to B_(n-m): over (n-m)! it is
+    # vs[n] f_m(n) (n-m)!/n!, and those factors go over their lcm q
+    fs, q = _scaled([ladder_value(m, n) * Fraction(math.factorial(n - m), math.factorial(n))
+                     for n in range(low, d + 1)])
+    return attached_sum(table, [0] * (low - m) + [v * f for v, f in zip(vs[low:], fs)], den * q)
 
 
 def apply_series_in_ddx_oracle(f: TruncatedSeries, p: UnivarPoly) -> UnivarPoly:
@@ -475,6 +516,55 @@ def test_attached_sum_inverts_basis_coordinates(case):
     vs, den = basis_coordinates(table, p)
     assert all(type(v) is int for v in vs) and type(den) is int and den > 0
     assert attached_sum(table, vs, den) == p
+
+
+def coordinate_values(pair):
+    """The coordinates ``vs[n] / (n! den)`` that a weight pair stands for."""
+    vs, den = pair
+    return [Fraction(v, math.factorial(n) * den) for n, v in enumerate(vs)]
+
+
+negative_fractions = st.builds(Fraction, st.integers(-99, -1), st.integers(2, 99))
+# a delta series with a negative, mostly non-integral b_1, and a polynomial of at
+# most its order whose zero coefficients and denominator come from ``coefficients``
+negative_b1_cases = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        series(min_order=max(n, 1), head=(st.just(_ZERO), negative_fractions)),
+        st.lists(coefficients, max_size=n + 1).map(UnivarPoly),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coordinate_cases, negative_b1_cases))
+@example((TruncatedSeries([0, Fraction(-3, 2), 0, Fraction(5, 7)]),
+          UnivarPoly([Fraction(1, 6), 0, Fraction(-4, 5), 2])))
+@example((TruncatedSeries([0, -1, Fraction(1, 2)]), UnivarPoly([0, 0, Fraction(3, 4)])))
+@example((TruncatedSeries([0, Fraction(-2, 3)]), UnivarPoly.zero()))
+def test_basis_coordinates_match_the_fraction_solve(case):
+    b, p = case
+    table = power_table(b, b.order)
+    got = basis_coordinates(table, p)
+    assert all(type(v) is int for v in got[0]) and type(got[1]) is int and got[1] > 0
+    assert coordinate_values(got) == coordinate_values(basis_coordinates_oracle(table, p))
+
+
+# degrees 0 to 7 against levels up to 6, so m > deg(p) turns up often
+short_univar = st.one_of(
+    st.just(UnivarPoly.zero()),
+    st.integers(0, 7).flatmap(
+        lambda n: st.lists(coefficients, min_size=n + 1, max_size=n + 1)
+    ).map(UnivarPoly),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions, st.integers(-1, 6), short_univar)
+@example(TruncatedSeries([0, Fraction(-1, 3), 2, 0, 5]), 6, UnivarPoly([1, Fraction(1, 2), 3]))
+@example(TruncatedSeries([0, 1]), 3, UnivarPoly.zero())
+@example(TruncatedSeries([0, Fraction(-5, 2), 0, 1]), -1, UnivarPoly([0, Fraction(2, 3), 0]))
+def test_mode_shift_matches_the_fraction_weights(b, m, p):
+    same(mode_shift, mode_shift_weights_oracle, b, m, p)
 
 
 small_univar = st.integers(0, 10).flatmap(
