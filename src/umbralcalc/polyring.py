@@ -34,9 +34,10 @@ paths.  Floats are refused.
 integer step per level to the stored numerators and put each level over
 ``den`` (times ``k!`` for ``e^(wD)``).  :func:`specialize_x` and
 :func:`specialize_y` read the substituted values as integer EGF numerators
-``n! c_n`` over the series' stored denominator (an ``extension`` value at a
-negative ``y``-index, the one ``Fraction`` read, joins it over one lcm) and
-sum integer numerators per output key over one common denominator.
+``n! c_n`` over the series' stored denominator, divided by one gcd to the lcm
+of the values' own denominators (an ``extension`` value at a negative
+``y``-index, the one ``Fraction`` read, joins it over one lcm), and sum
+integer numerators per output key over one common denominator.
 """
 
 from __future__ import annotations
@@ -339,7 +340,8 @@ def specialize_x(p: MultiPoly, b: TruncatedSeries) -> MultiPoly:
     """
     _require_delta(b)
     values = [math.factorial(j) * x for j, x in enumerate(b.nums)]
-    return _substitute(p, 1, values, b.den)
+    g = math.gcd(b.den, *values)  # b.den // g is the lcm of the values' denominators
+    return _substitute(p, 1, [v // g for v in values], b.den // g)
 
 
 def specialize_y(
@@ -362,9 +364,12 @@ def specialize_y(
             if i > a.order:
                 raise OrderTooSmall(f"y-index {i} exceeds series order {a.order}")
             values[i] = math.factorial(i) * a.nums[i] if i >= 0 else as_rational(ext.get(i, 0))
-    # EGF numerators over a.den, and the extension's Fractions, over one lcm
-    d = math.lcm(a.den, *[v.denominator for v in values.values() if type(v) is Fraction])
-    values = {i: v * (d // a.den) if type(v) is int else v.numerator * (d // v.denominator)
+    # EGF numerators over e, the lcm of their own denominators, and the
+    # extension's Fractions, over one lcm
+    g = math.gcd(a.den, *[v for v in values.values() if type(v) is int])
+    e = a.den // g
+    d = math.lcm(e, *[v.denominator for v in values.values() if type(v) is Fraction])
+    values = {i: v // g * (d // e) if type(v) is int else v.numerator * (d // v.denominator)
               for i, v in values.items()}
     return _substitute(p, 0, values, d)
 

@@ -587,3 +587,18 @@ def test_specialize_x_matches_the_fraction_values(p, order, seed, delta):
 def test_specialize_y_matches_the_fraction_values(p, order, seed, ext):
     a = random_series(rng_for(seed, "substitute-y"), order)
     assert _outcome(specialize_y, p, a, ext) == _outcome(_specialize_y_oracle, p, a, ext)
+
+
+@pytest.mark.parametrize("order", [4, 12])
+def test_substitutions_of_egf_values_in_lower_terms_than_the_series(order):
+    """``e^t - 1`` and ``e^t`` are stored over ``order!``, yet every EGF value
+    is 1: e^(wD) y_0 under both substitutions is e^(x(e^w - 1)), whose ``w^n``
+    coefficient times ``n!`` is the Touchard polynomial."""
+    e = exp_t(order)
+    images = []
+    for q in exp_derivation(Y(0), order).coeffs:
+        image = specialize_x(q, e - 1)
+        assert image == _specialize_x_oracle(q, e - 1)
+        images.append(specialize_y(image, e))
+        assert images[-1] == _specialize_y_oracle(image, e)
+    assert to_univar(images[3]) * 6 == UnivarPoly([0, 1, 3, 1])
